@@ -7,6 +7,7 @@
 #include "catalog/catalog.h"
 #include "engine/executor.h"
 #include "engine/runner.h"
+#include "engine/selectivity.h"
 #include "engine/tpch_gen.h"
 #include "rewrite/batch_rewriter.h"
 #include "rewrite/rewrite_cache.h"
@@ -110,9 +111,10 @@ Result<std::vector<RuntimeRecord>> RunRuntimeExperiment(
 
     // Learned predicate selectivity on lineitem (lineitem occupies the
     // first columns of the joint schema, so indices line up).
-    SIA_ASSIGN_OR_RETURN(double sel,
-                         MeasureSelectivity(data.lineitem, outcome.learned));
-    rec.selectivity = sel;
+    SIA_ASSIGN_OR_RETURN(
+        SelectivityEstimate sel,
+        EstimateSelectivity(data.lineitem, outcome.learned, /*sample_size=*/0));
+    rec.selectivity = sel.selectivity;
     records.push_back(std::move(rec));
   }
   return records;

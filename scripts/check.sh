@@ -11,10 +11,11 @@
 # Concurrency gates run as part of the standard pass:
 #   - the src/obs concurrency tests, the threading-substrate tests
 #     (tests/parallel_test.cc: ParallelFor, morsel-parallel execution,
-#     the single-flight rewrite cache, the batch rewriter) AND the
+#     the rewrite cache's single-flight marker, the batch rewriter), the
 #     serving-subsystem tests (tests/server_test.cc: protocol abuse,
-#     load shedding, graceful drain) are rebuilt and re-run under
-#     ThreadSanitizer in a dedicated build dir;
+#     load shedding, graceful drain) AND the online-learning state
+#     machine tests (tests/promotion_test.cc) are rebuilt and re-run
+#     under ThreadSanitizer in a dedicated build dir;
 #   - an overhead guard builds bench_micro twice — observability
 #     compiled in but disabled (the shipping configuration) vs compiled
 #     out via -DSIA_DISABLE_OBS=ON — and asserts the instrumented hot
@@ -34,18 +35,16 @@
 #
 # `check.sh --serve-smoke` additionally runs the serving end-to-end
 # gates:
-#   - sync mode: start sia_serve --sync-rewrite (executing queries
-#     against generated TPC-H data), drive SMOKE_QUERIES seeded workload
-#     queries through it with sia_client, and require the client's
-#     digest lines to be byte-identical to sia_lint --digests-out batch
-#     runs at --threads 1 AND 4; then SIGTERM the daemon and require a
-#     clean drain (exit 0, DRAINED line);
-#   - promotion lifecycle: start sia_serve in its default background-
-#     learning mode with --promote-after 3 --shadow-sample-rate 1,
-#     repeat the same PROMO_QUERIES-query template workload until STATS
-#     reports rewrite.promote.promoted >= 1, and require every pass's
-#     rows/content_hash to equal the batch sia_lint reference — the
-#     learning loop may never change an answer. A 10 Hz sia_top poller
+#   - promotion lifecycle: start sia_serve (executing queries against
+#     generated TPC-H data) with --promote-after 3 --shadow-sample-rate
+#     1, repeat the same PROMO_QUERIES-query template workload until
+#     STATS reports rewrite.promote.promoted >= 1, and require every
+#     pass's rows/content_hash to equal the batch sia_lint reference —
+#     the learning loop may never change an answer. The reference is
+#     computed with sia_lint --digests-out at --threads 1 AND 4, and the
+#     two files must be byte-identical (batch rewriting is deterministic
+#     through the cache's single-flight marker). SIGTERM must then drain
+#     the daemon cleanly (exit 0, DRAINED line). A 10 Hz sia_top poller
 #     runs throughout, the OBSERVE verb is fetched raw mid-burst and
 #     must parse as the documented JSON schema, and the SIA_TRACE
 #     Chrome export written at drain must contain at least one trace ID
@@ -84,7 +83,6 @@
 #                    (default 3; the paper's default of 41 is much
 #                    slower and adds no validation coverage)
 #   SWEEP_QUERIES    queries per fault-sweep pass (default 8)
-#   SMOKE_QUERIES    queries for the --serve-smoke gate (default 200)
 #   SMOKE_SCALE      TPC-H scale factor for --serve-smoke (default 0.01)
 #   PROMO_QUERIES    template-workload size for the promotion-lifecycle
 #                    smoke (default 12)
@@ -109,7 +107,6 @@ SANITIZE=${SANITIZE:-address,undefined}
 LINT_WORKLOAD=${LINT_WORKLOAD:-1000}
 LINT_ITERATIONS=${LINT_ITERATIONS:-3}
 SWEEP_QUERIES=${SWEEP_QUERIES:-8}
-SMOKE_QUERIES=${SMOKE_QUERIES:-200}
 SMOKE_SCALE=${SMOKE_SCALE:-0.01}
 PROMO_QUERIES=${PROMO_QUERIES:-12}
 PROMO_PASSES=${PROMO_PASSES:-12}
@@ -254,7 +251,7 @@ echo "== sia_lint --workload ${LINT_WORKLOAD} --rewrite" \
 "${LINT}" --werror -q --workload "${LINT_WORKLOAD}" --rewrite \
   --max-iterations "${LINT_ITERATIONS}"
 
-# --- Serve smoke: served digests == batch-lint digests, clean drain ------
+# --- Serve smoke: the learning loop never changes an answer, clean drain --
 if [[ "${SERVE_SMOKE}" -eq 1 ]]; then
   SERVE="${BUILD_DIR}/tools/sia_serve"
   CLIENT="${BUILD_DIR}/tools/sia_client"
@@ -265,64 +262,6 @@ if [[ "${SERVE_SMOKE}" -eq 1 ]]; then
         [[ -n "${TOP_PID}" ]] && kill "${TOP_PID}" 2>/dev/null;
         [[ -n "${SERVE_PID}" ]] && kill "${SERVE_PID}" 2>/dev/null;
         rm -rf "${SMOKE_DIR}"' EXIT
-
-  echo "== serve smoke (${SMOKE_QUERIES} queries, sf=${SMOKE_SCALE}," \
-       "served vs batch-lint digests, graceful drain)"
-  # --sync-rewrite: the byte-identical digest diff below needs the
-  # synchronous ladder on the serving path (background learning answers
-  # misses with the original, so rung/sql_hash lines would differ).
-  "${SERVE}" --port-file "${SMOKE_DIR}/port" --workers 4 \
-    --scale "${SMOKE_SCALE}" --max-iterations "${LINT_ITERATIONS}" \
-    --sync-rewrite \
-    > "${SMOKE_DIR}/serve.log" 2>&1 &
-  SERVE_PID=$!
-  for _ in $(seq 1 300); do
-    [[ -s "${SMOKE_DIR}/port" ]] && break
-    if ! kill -0 "${SERVE_PID}" 2>/dev/null; then break; fi
-    sleep 0.1
-  done
-  if [[ ! -s "${SMOKE_DIR}/port" ]]; then
-    echo "ERROR: sia_serve did not come up" >&2
-    cat "${SMOKE_DIR}/serve.log" >&2
-    exit 1
-  fi
-  SMOKE_PORT=$(cat "${SMOKE_DIR}/port")
-
-  "${CLIENT}" --port "${SMOKE_PORT}" --workload "${SMOKE_QUERIES}" \
-    --concurrency 8 --digests-out "${SMOKE_DIR}/client.dig"
-  if [[ "$(wc -l < "${SMOKE_DIR}/client.dig")" -ne "${SMOKE_QUERIES}" ]]; then
-    echo "ERROR: expected ${SMOKE_QUERIES} digest lines from sia_client" >&2
-    exit 1
-  fi
-
-  # The client's served digests must be byte-identical to batch sia_lint
-  # digests — serially and through the 4-thread batch rewriter.
-  for t in 1 4; do
-    "${LINT}" -q --rewrite --workload "${SMOKE_QUERIES}" --threads "${t}" \
-      --max-iterations "${LINT_ITERATIONS}" --execute-sf "${SMOKE_SCALE}" \
-      --digests-out "${SMOKE_DIR}/lint_t${t}.dig" > /dev/null
-    if ! diff -u "${SMOKE_DIR}/client.dig" "${SMOKE_DIR}/lint_t${t}.dig"; then
-      echo "ERROR: served digests != sia_lint --threads ${t} digests" >&2
-      exit 1
-    fi
-    echo "   digests: served == sia_lint --threads ${t}" \
-         "(${SMOKE_QUERIES} lines)"
-  done
-
-  # Graceful drain: SIGTERM must finish in-flight work and exit 0.
-  kill -TERM "${SERVE_PID}"
-  if ! wait "${SERVE_PID}"; then
-    echo "ERROR: sia_serve did not drain cleanly" >&2
-    cat "${SMOKE_DIR}/serve.log" >&2
-    exit 1
-  fi
-  SERVE_PID=""
-  if ! grep -q '^DRAINED ' "${SMOKE_DIR}/serve.log"; then
-    echo "ERROR: sia_serve exited without a DRAINED line" >&2
-    cat "${SMOKE_DIR}/serve.log" >&2
-    exit 1
-  fi
-  sed -n 's/^/   /p' "${SMOKE_DIR}/serve.log"
 
   # --- Promotion lifecycle: background learning end to end --------------
   # Default-mode sia_serve (never synthesize on the serving path), every
@@ -363,9 +302,22 @@ if [[ "${SERVE_SMOKE}" -eq 1 ]]; then
     > "${SMOKE_DIR}/promo_top.out" 2>&1 &
   TOP_PID=$!
 
-  "${LINT}" -q --rewrite --workload "${PROMO_QUERIES}" --threads 1 \
-    --max-iterations "${LINT_ITERATIONS}" --execute-sf "${SMOKE_SCALE}" \
-    --digests-out "${SMOKE_DIR}/promo_lint.dig" > /dev/null
+  # Batch determinism: the reference digests must be byte-identical
+  # serially and through the 4-thread batch rewriter.
+  for t in 1 4; do
+    "${LINT}" -q --rewrite --workload "${PROMO_QUERIES}" --threads "${t}" \
+      --max-iterations "${LINT_ITERATIONS}" --execute-sf "${SMOKE_SCALE}" \
+      --digests-out "${SMOKE_DIR}/promo_lint_t${t}.dig" > /dev/null
+  done
+  if ! cmp "${SMOKE_DIR}/promo_lint_t1.dig" "${SMOKE_DIR}/promo_lint_t4.dig"
+  then
+    diff -u "${SMOKE_DIR}/promo_lint_t1.dig" \
+      "${SMOKE_DIR}/promo_lint_t4.dig" >&2 || true
+    echo "ERROR: sia_lint digests differ between --threads 1 and 4" >&2
+    exit 1
+  fi
+  echo "   digests: sia_lint --threads 1 == --threads 4" \
+       "(${PROMO_QUERIES} lines)"
 
   PROMOTED=0
   PASSES_RUN=0
@@ -438,7 +390,7 @@ EOF
   fi
   echo "   promoted entries (counter rewrite.promote.promoted):" \
        "${PROMOTED} after ${PASSES_RUN} passes"
-  python3 - "${PROMO_QUERIES}" "${SMOKE_DIR}/promo_lint.dig" \
+  python3 - "${PROMO_QUERIES}" "${SMOKE_DIR}/promo_lint_t1.dig" \
       "${SMOKE_DIR}"/promo_pass*.dig <<'EOF'
 import re, sys
 
@@ -561,39 +513,63 @@ EOF
   fi
   GUARD_PORT=$(cat "${SMOKE_DIR}/guard_port")
 
-  # Warm pass: populate the cache and queue every synthesis job, then
-  # wait for the learning loop to go fully quiescent so the measured
-  # passes compete with nothing. The queue-depth gauge is not enough —
-  # it reads 0 while the final dequeued job is still synthesizing — so
-  # wait until every enqueued job is accounted for.
-  "${CLIENT}" --port "${GUARD_PORT}" --workload "${OBS_GUARD_QUERIES}" \
-    --concurrency 4 -q > /dev/null
-  for _ in $(seq 1 120); do
+  # Warm passes: populate the cache, then wait for the learning loop to
+  # go fully quiescent so the measured passes compete with nothing and
+  # serve identical answers. One pass is not enough: a full background
+  # queue refuses jobs (they count in `dropped`, never in `enqueued`) and
+  # a refused key misses, and is queued, again on the next pass; and a
+  # finished job's evidence runs, and may promote, after `completed`
+  # ticks. So repeat the pass until it offers no new job, each time
+  # waiting until every accepted job is done and the promotion counters
+  # hold still across a poll.
+  guard_learning() { # prints "<jobs offered> <jobs pending> <verdicts>"
     "${CLIENT}" --port "${GUARD_PORT}" --stats -q \
       > "${SMOKE_DIR}/guard_depth.out"
-    PENDING=$(python3 - "${SMOKE_DIR}/guard_depth.out" <<'EOF'
+    python3 - "${SMOKE_DIR}/guard_depth.out" <<'EOF'
 import json, sys
+counters = {}
 with open(sys.argv[1]) as f:
     for line in f:
-        line = line.strip()
         if line.startswith("{"):
-            c = json.loads(line).get("counters", {})
-            print(int(c.get("rewrite.background.enqueued", 0)) -
-                  int(c.get("rewrite.background.completed", 0)) -
-                  int(c.get("rewrite.background.failed", 0)) -
-                  int(c.get("rewrite.background.dropped", 0)))
+            counters = json.loads(line).get("counters", {})
             break
-    else:
-        print(0)
+bg = lambda k: int(counters.get("rewrite.background." + k, 0))
+pr = lambda k: int(counters.get("rewrite.promote." + k, 0))
+print(bg("enqueued") + bg("dropped"),
+      bg("enqueued") - bg("completed") - bg("failed"),
+      pr("wins") + pr("losses") + pr("promoted") + pr("demoted"))
 EOF
-)
-    [[ "${PENDING}" -le 0 ]] && break
-    sleep 0.5
+  }
+  QUIET=0
+  OFFERED_BEFORE=-1
+  for _ in $(seq 1 10); do
+    "${CLIENT}" --port "${GUARD_PORT}" --workload "${OBS_GUARD_QUERIES}" \
+      --concurrency 4 -q > /dev/null
+    LAST_VERDICTS=""
+    for _ in $(seq 1 600); do
+      read -r OFFERED PENDING VERDICTS < <(guard_learning)
+      if [[ "${PENDING}" -le 0 && "${VERDICTS}" == "${LAST_VERDICTS}" ]]; then
+        break
+      fi
+      LAST_VERDICTS="${VERDICTS}"
+      sleep 0.5
+    done
+    if [[ "${OFFERED}" -eq "${OFFERED_BEFORE}" ]]; then
+      QUIET=1
+      break
+    fi
+    OFFERED_BEFORE="${OFFERED}"
   done
+  if [[ "${QUIET}" -ne 1 ]]; then
+    echo "ERROR: the learning loop never went quiet over the warm passes" >&2
+    exit 1
+  fi
 
   guard_stats() { # <out-file>
-    "${CLIENT}" --port "${GUARD_PORT}" --stats -q |
-      grep -m1 '^{' > "$1"
+    # Via a file, not a pipe: `grep -m1` exits at the first match and a
+    # client still flushing its summary line would die of SIGPIPE.
+    "${CLIENT}" --port "${GUARD_PORT}" --stats -q > "$1.raw"
+    grep -m1 '^{' "$1.raw" > "$1"
   }
 
   # Interleave two quiet and two polled passes and gate on the best of
@@ -707,17 +683,17 @@ fi
 # --- Concurrency gates ---------------------------------------------------
 # src/obs is lock-light by design (relaxed atomics on counters, one
 # mutex per thread-local trace ring), and the threading substrate
-# (ThreadPool, morsel-parallel execution, the single-flight rewrite
-# cache) is where any data race in the tree would live; run both test
-# binaries under ThreadSanitizer in a dedicated build dir. TSan is
+# (ThreadPool, morsel-parallel execution, the rewrite cache's marker
+# protocol) is where any data race in the tree would live; run those
+# test binaries under ThreadSanitizer in a dedicated build dir. TSan is
 # incompatible with ASan, hence the separate dir.
 TSAN_DIR="${BUILD_DIR}-tsan"
-echo "== obs + parallel + server concurrency tests under ThreadSanitizer" \
-     "(${TSAN_DIR})"
+echo "== obs + parallel + server + promotion concurrency tests under" \
+     "ThreadSanitizer (${TSAN_DIR})"
 require_compiler "${TSAN_DIR}" "${CXX:-c++}"
 cmake -B "${TSAN_DIR}" -S . -DSIA_SANITIZE=thread >/dev/null
 cmake --build "${TSAN_DIR}" -j "${JOBS}" \
-  --target obs_test parallel_test server_test
+  --target obs_test parallel_test server_test promotion_test
 # scripts/tsan.supp silences reports from inside uninstrumented libz3
 # frames (Z3's global allocator locking); our own code is not suppressed.
 TSAN_OPTIONS="suppressions=$(pwd)/scripts/tsan.supp" \
@@ -726,6 +702,8 @@ TSAN_OPTIONS="suppressions=$(pwd)/scripts/tsan.supp" \
   "${TSAN_DIR}/tests/parallel_test" --gtest_brief=1
 TSAN_OPTIONS="suppressions=$(pwd)/scripts/tsan.supp" \
   "${TSAN_DIR}/tests/server_test" --gtest_brief=1
+TSAN_OPTIONS="suppressions=$(pwd)/scripts/tsan.supp" \
+  "${TSAN_DIR}/tests/promotion_test" --gtest_brief=1
 
 # Overhead guard: with SIA_METRICS/SIA_TRACE unset, the entire cost of
 # the compiled-in instrumentation is one relaxed atomic load per site.

@@ -120,9 +120,9 @@ class SIA_CAPABILITY("mutex") Mutex {
   std::mutex mu_;
 };
 
-// RAII lock. Supports the release-then-reacquire protocol the
-// single-flight RewriteCache uses (drop the lock around a slow
-// synthesis, retake it to publish):
+// RAII lock. Supports releasing early and retaking (e.g. to call out of
+// a leaf lock's scope, as BackgroundSynthesizer::Enqueue does before
+// releasing a shed job's cache marker):
 //
 //   MutexLock lock(&mu_);
 //   ...

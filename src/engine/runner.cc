@@ -1,6 +1,5 @@
 #include "engine/runner.h"
 
-#include "engine/exec_expr.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "parser/parser.h"
@@ -57,43 +56,6 @@ Result<ParanoidReport> RunRewriteParanoid(
   report.rewrite_used = true;
   report.output = std::move(*cross);
   return report;
-}
-
-namespace {
-
-class TableRow final : public RowAccessor {
- public:
-  explicit TableRow(const Table& table) : table_(table) {}
-  void set_row(size_t row) { row_ = row; }
-
-  int64_t IntAt(size_t col) const override {
-    return table_.column(col).IntAt(row_);
-  }
-  double DoubleAt(size_t col) const override {
-    return table_.column(col).DoubleAt(row_);
-  }
-  bool IsNull(size_t col) const override {
-    return table_.column(col).IsNull(row_);
-  }
-
- private:
-  const Table& table_;
-  size_t row_ = 0;
-};
-
-}  // namespace
-
-Result<double> MeasureSelectivity(const Table& table,
-                                  const ExprPtr& predicate) {
-  if (table.row_count() == 0) return 0.0;
-  SIA_ASSIGN_OR_RETURN(CompiledExpr pred, CompiledExpr::Compile(predicate));
-  TableRow row(table);
-  size_t hits = 0;
-  for (size_t i = 0; i < table.row_count(); ++i) {
-    row.set_row(i);
-    if (pred.EvalPredicate(row) == 1) ++hits;
-  }
-  return static_cast<double>(hits) / static_cast<double>(table.row_count());
 }
 
 }  // namespace sia

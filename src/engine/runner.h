@@ -54,11 +54,6 @@ struct ParanoidReport {
     const Catalog& catalog, Executor& executor,
     const PlannerOptions& planner_options = {});
 
-// Fraction of `table` rows that satisfy `predicate` (bound against the
-// table schema). Used for the paper's Table 4 selectivity analysis.
-[[nodiscard]] Result<double> MeasureSelectivity(const Table& table,
-                                  const ExprPtr& predicate);
-
 }  // namespace sia
 
 #endif  // SIA_ENGINE_RUNNER_H_

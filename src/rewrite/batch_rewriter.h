@@ -22,8 +22,10 @@ class ThreadPool;
 //     construct their own SmtContext — Z3 contexts are not thread-safe
 //     and are never shared across workers), and
 //   - the single shared mutable structure, the RewriteCache, is
-//     single-flight: concurrent misses on one key coalesce onto one
-//     in-flight synthesis instead of duplicating the CEGIS run.
+//     single-flight through its kSynthesizing marker: the first worker
+//     to miss on a key claims it (RewriteCache::DecideOrWait) and runs
+//     the ladder; the others wait for its publish instead of
+//     duplicating the CEGIS run.
 struct BatchRewriteOptions {
   // Per-query rewrite options. Its `cache` field is overridden with the
   // `cache` below. Note RewriteOptions::deadline is one absolute

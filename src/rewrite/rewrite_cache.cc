@@ -1,10 +1,24 @@
 #include "rewrite/rewrite_cache.h"
 
+#include <utility>
+
 #include "obs/event_log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace sia {
+namespace {
+
+// A fresh kSynthesizing marker, linked to the trace of the request whose
+// miss created it.
+RewriteCache::Entry NewMarker() {
+  RewriteCache::Entry marker;
+  marker.state = EntryState::kSynthesizing;
+  marker.origin_trace_id = obs::CurrentTraceId();
+  return marker;
+}
+
+}  // namespace
 
 const char* EntryStateName(EntryState state) {
   switch (state) {
@@ -36,19 +50,18 @@ std::optional<RewriteCache::Entry> RewriteCache::Lookup(
   const std::string key = MakeKey(bound_predicate, cols);
   MutexLock lock(&mutex_);
   const auto it = entries_.find(key);
-  if (it == entries_.end()) {
-    ++misses_;
-    return std::nullopt;
-  }
-  ++hits_;
+  if (it == entries_.end()) return std::nullopt;
   return it->second;
 }
 
-void RewriteCache::Insert(const ExprPtr& bound_predicate,
-                          const std::vector<size_t>& cols, Entry entry) {
-  const std::string key = MakeKey(bound_predicate, cols);
-  MutexLock lock(&mutex_);
-  entries_[key] = std::move(entry);
+void RewriteCache::CountLocked(bool hit) {
+  if (hit) {
+    ++hits_;
+    SIA_COUNTER_INC("rewrite.cache.hit");
+  } else {
+    ++misses_;
+    SIA_COUNTER_INC("rewrite.cache.miss");
+  }
 }
 
 ServingDecision RewriteCache::Decide(const ExprPtr& bound_predicate,
@@ -59,29 +72,18 @@ ServingDecision RewriteCache::Decide(const ExprPtr& bound_predicate,
   ServingDecision decision;
   MutexLock lock(&mutex_);
   auto it = entries_.find(key);
+  CountLocked(it != entries_.end());
   if (it == entries_.end()) {
-    ++misses_;
-    SIA_COUNTER_INC("rewrite.cache.miss");
-    // A legacy single-flight leader may be synthesizing this key right
-    // now; let it publish rather than double-queueing the work.
-    if (!inflight_.contains(key)) {
-      Entry marker;
-      marker.state = EntryState::kSynthesizing;
-      marker.predicate = nullptr;
-      marker.origin_trace_id = obs::CurrentTraceId();
-      entries_[key] = std::move(marker);
-      decision.enqueue = true;
-    }
+    entries_[key] = NewMarker();
     decision.state = EntryState::kSynthesizing;
+    decision.enqueue = true;
     return decision;
   }
-  ++hits_;
-  SIA_COUNTER_INC("rewrite.cache.hit");
   Entry& entry = it->second;
   decision.state = entry.state;
   switch (entry.state) {
     case EntryState::kSynthesizing:
-      break;  // background job owns the key; serve the original
+      break;  // another caller owns the key; serve the original
     case EntryState::kQuarantined:
       // Gather evidence: a sampled request paranoid-runs the candidate
       // rewrite but still serves the original's digests.
@@ -106,10 +108,7 @@ ServingDecision RewriteCache::Decide(const ExprPtr& bound_predicate,
       if (!entry.poisoned &&
           now_ms - entry.demoted_at_ms >= policy.demote_ttl_ms) {
         // TTL expired: forget the failed attempt and re-learn.
-        Entry marker;
-        marker.state = EntryState::kSynthesizing;
-        marker.origin_trace_id = obs::CurrentTraceId();
-        entry = std::move(marker);
+        entry = NewMarker();
         decision.state = EntryState::kSynthesizing;
         decision.enqueue = true;
         SIA_COUNTER_INC("rewrite.promote.requeued");
@@ -119,9 +118,52 @@ ServingDecision RewriteCache::Decide(const ExprPtr& bound_predicate,
   return decision;
 }
 
+std::optional<RewriteCache::Entry> RewriteCache::DecideOrWait(
+    const ExprPtr& bound_predicate, const std::vector<size_t>& cols) {
+  const std::string key = MakeKey(bound_predicate, cols);
+  MutexLock lock(&mutex_);
+  for (;;) {
+    auto it = entries_.find(key);
+    if (it == entries_.end()) {
+      CountLocked(/*hit=*/false);
+      entries_[key] = NewMarker();
+      return std::nullopt;  // the caller holds the marker now
+    }
+    if (it->second.state != EntryState::kSynthesizing) {
+      CountLocked(/*hit=*/true);
+      return it->second;
+    }
+    // Another caller holds the marker: wait until it goes away, then
+    // decide again (published: a hit; aborted or cleared: claim it).
+    ++coalesced_;
+    while (it != entries_.end() &&
+           it->second.state == EntryState::kSynthesizing) {
+      marker_cv_.Wait(&mutex_);
+      it = entries_.find(key);
+    }
+  }
+}
+
+RewriteCache::MarkerGuard::MarkerGuard(RewriteCache* cache,
+                                       ExprPtr bound_predicate,
+                                       std::vector<size_t> cols)
+    : cache_(cache),
+      bound_predicate_(std::move(bound_predicate)),
+      cols_(std::move(cols)) {}
+
+RewriteCache::MarkerGuard::~MarkerGuard() {
+  if (cache_ != nullptr) cache_->AbortSynthesis(bound_predicate_, cols_);
+}
+
+Status RewriteCache::MarkerGuard::Publish(Entry entry) {
+  RewriteCache* cache = std::exchange(cache_, nullptr);
+  return cache->CompleteSynthesis(bound_predicate_, cols_, std::move(entry),
+                                  /*trusted=*/true);
+}
+
 Status RewriteCache::CompleteSynthesis(const ExprPtr& bound_predicate,
                                        const std::vector<size_t>& cols,
-                                       Entry entry) {
+                                       Entry entry, bool trusted) {
   const std::string key = MakeKey(bound_predicate, cols);
   MutexLock lock(&mutex_);
   const auto it = entries_.find(key);
@@ -134,8 +176,9 @@ Status RewriteCache::CompleteSynthesis(const ExprPtr& bound_predicate,
         std::string("illegal transition: CompleteSynthesis on a ") +
         EntryStateName(it->second.state) + " entry");
   }
-  entry.state = entry.predicate != nullptr ? EntryState::kQuarantined
-                                           : EntryState::kPromoted;
+  entry.state = entry.predicate != nullptr && !trusted
+                    ? EntryState::kQuarantined
+                    : EntryState::kPromoted;
   entry.wins = 0;
   entry.losses = 0;
   entry.shadow_runs = 0;
@@ -144,6 +187,7 @@ Status RewriteCache::CompleteSynthesis(const ExprPtr& bound_predicate,
   // the published entry keeps that link for the promotion decision.
   entry.origin_trace_id = it->second.origin_trace_id;
   it->second = std::move(entry);
+  marker_cv_.NotifyAll();
   return Status::OK();
 }
 
@@ -154,6 +198,7 @@ void RewriteCache::AbortSynthesis(const ExprPtr& bound_predicate,
   const auto it = entries_.find(key);
   if (it != entries_.end() && it->second.state == EntryState::kSynthesizing) {
     entries_.erase(it);
+    marker_cv_.NotifyAll();
   }
 }
 
@@ -173,7 +218,7 @@ Result<EntryState> RewriteCache::RecordShadow(const ExprPtr& bound_predicate,
   // this entry: reinstalling its trace ID puts the decision span (and
   // any promotion/demotion events below) in the same exported trace as
   // that request's admission span and the background synthesis job.
-  // Sync-mode entries never had a marker; they keep the caller's trace.
+  // Entries whose miss was untraced keep the caller's trace.
   obs::TraceContext origin_ctx(entry.origin_trace_id != 0
                                    ? entry.origin_trace_id
                                    : obs::CurrentTraceId());
@@ -275,12 +320,11 @@ std::vector<RewriteCache::EntryInfo> RewriteCache::EntryInfos() const {
 
 void RewriteCache::Clear() {
   MutexLock lock(&mutex_);
-  // In-flight markers are deliberately left alone: their leaders will
-  // still erase them and wake any waiters.
   entries_.clear();
   hits_ = 0;
   misses_ = 0;
   coalesced_ = 0;
+  marker_cv_.NotifyAll();
 }
 
 }  // namespace sia

@@ -2,13 +2,9 @@
 #define SIA_REWRITE_REWRITE_CACHE_H_
 
 #include <cstdint>
-#include <exception>
 #include <map>
 #include <optional>
-#include <set>
 #include <string>
-#include <type_traits>
-#include <utility>
 #include <vector>
 
 #include "common/sync.h"
@@ -17,15 +13,17 @@
 
 namespace sia {
 
-// Lifecycle of a cache entry under the online learning loop (see
-// DESIGN.md "Online learning loop" for the transition table):
+// Lifecycle of a cache entry (see DESIGN.md "Online learning loop" for
+// the transition table):
 //
-//   (absent) --Decide miss--> kSynthesizing --CompleteSynthesis-->
-//   kQuarantined --RecordShadow wins>=K--> kPromoted
+//   (absent) --Decide/DecideOrWait miss--> kSynthesizing
+//   --CompleteSynthesis--> kQuarantined --RecordShadow wins>=K-->
+//   kPromoted                    (trusted publish: straight to kPromoted)
 //
-// kSynthesizing   a background job owns the key; serve the original.
-//                 AbortSynthesis (crash / drop / drain) erases the
-//                 marker so the key is re-queueable, never wedged.
+// kSynthesizing   one caller (a background job, or a synchronous
+//                 DecideOrWait leader) owns the key; serve the original.
+//                 AbortSynthesis (crash / error / drop / drain) erases
+//                 the marker so the key is re-claimable, never wedged.
 // kQuarantined    synthesized and paranoid-checkable, but not yet
 //                 evidence-backed; serve the original, shadow-sample
 //                 the rewrite to gather win/loss evidence.
@@ -96,20 +94,23 @@ struct ShadowOutcome {
 // is paid once per distinct predicate shape.
 //
 // Keys canonicalize through the bound predicate's printed form, which is
-// deterministic for structurally identical predicates. Thread-safe, with
-// single-flight misses: when N batch-rewrite workers miss on the same
-// key concurrently, exactly one runs synthesize() while the others block
-// on the in-flight entry and are served its result — never N CEGIS runs
-// for one key, and never a last-writer-wins insert race.
+// deterministic for structurally identical predicates. Thread-safe.
 //
-// Two serving modes share this store and must not be mixed on one cache
-// instance:
-//  * Synchronous (GetOrSynthesize): the ladder runs on the calling
-//    thread; entries are inserted fully trusted (kPromoted) because the
-//    caller conjoined the predicate it just synthesized and validated.
-//  * Background (Decide / CompleteSynthesis / AbortSynthesis /
-//    RecordShadow): the serving path never synthesizes; entries climb
-//    the EntryState machine on measured evidence.
+// One protocol, one lifecycle: the kSynthesizing marker is the only
+// single-flight mechanism. Whoever misses first on a key gets the
+// marker and must release it — CompleteSynthesis to publish,
+// AbortSynthesis to give the key back. Callers differ only in what
+// they do while a marker is held by someone else:
+//  * The serving path (Decide) never blocks: it serves the original and
+//    hands misses to a background job; entries then climb the
+//    EntryState machine on measured shadow evidence (RecordShadow).
+//  * Synchronous callers that run the ladder themselves (DecideOrWait,
+//    the RewriteQuery / RewriteBatch path) wait out another caller's
+//    marker, so N concurrent misses on one key cost one CEGIS run. They
+//    publish trusted entries (kPromoted): the caller conjoins the
+//    predicate it just synthesized and validated.
+// Both kinds may share one instance: a serving Decide on a key a
+// synchronous leader holds sees kSynthesizing and serves the original.
 class RewriteCache {
  public:
   struct Entry {
@@ -119,9 +120,7 @@ class RewriteCache {
     // the entry; stored as an int because that enum lives above this
     // header in the layering. 3 == kOriginal (no rewrite).
     int rung = 3;
-    // --- online learning loop state (background mode only) ---
-    // Synchronous inserts default to kPromoted: the sync path trusts
-    // the ladder it just ran, exactly as it did before states existed.
+    // --- lifecycle state (set by Decide / CompleteSynthesis) ---
     EntryState state = EntryState::kPromoted;
     int wins = 0;
     int losses = 0;
@@ -131,9 +130,9 @@ class RewriteCache {
     bool poisoned = false;
     int64_t demoted_at_ms = 0;  // stamp for the kDemoted TTL
     // Trace ID of the request whose miss created this entry (0 when
-    // untraced or sync-inserted). RecordShadow reinstalls it so the
-    // promotion decision lands in the same exported trace as the
-    // admission span and background synthesis job that led to it.
+    // untraced). RecordShadow reinstalls it so the promotion decision
+    // lands in the same exported trace as the admission span and
+    // background synthesis job that led to it.
     uint64_t origin_trace_id = 0;
   };
 
@@ -141,11 +140,10 @@ class RewriteCache {
     size_t hits = 0;
     size_t misses = 0;
     size_t entries = 0;
-    // Callers that found another thread's synthesis of their key in
-    // flight, blocked on it, and were served its result without running
-    // their own (each such wait also counts as a hit once served).
+    // DecideOrWait waits on another caller's kSynthesizing marker (each
+    // waiting call still counts one hit or miss once it resolves).
     size_t coalesced = 0;
-    // Per-state entry counts (background mode).
+    // Per-state entry counts.
     size_t synthesizing = 0;
     size_t quarantined = 0;
     size_t promoted = 0;
@@ -153,48 +151,78 @@ class RewriteCache {
     size_t poisoned = 0;
   };
 
-  // Returns the cached entry, or nullopt on miss. Does not wait for
-  // in-flight synthesis; use GetOrSynthesize for single-flight reads.
+  // Read-only inspector (tests, tools): the entry for the key, marker
+  // included, or nullopt. Never waits and counts neither hit nor miss.
   std::optional<Entry> Lookup(const ExprPtr& bound_predicate,
                               const std::vector<size_t>& cols)
       SIA_EXCLUDES(mutex_);
-
-  // Records a synthesis result.
-  void Insert(const ExprPtr& bound_predicate,
-              const std::vector<size_t>& cols, Entry entry)
-      SIA_EXCLUDES(mutex_);
-
-  // --- Background (online learning) mode -------------------------------
 
   // One serving-path consultation; never blocks on synthesis. On a miss
   // (or an expired kDemoted TTL) it inserts a kSynthesizing marker and
   // asks the caller to enqueue a background job — the marker is what
   // dedups concurrent misses: exactly one caller sees enqueue == true
-  // per key. `shadow_sampled` is the caller's coin flip; Decide turns it
-  // into shadow == true only for entries that can use evidence.
-  // `now_ms` is any monotonic millisecond clock (injected for TTL
-  // testability).
+  // per key. A marker held by anyone (background job or synchronous
+  // leader) reads as kSynthesizing with enqueue == false.
+  // `shadow_sampled` is the caller's coin flip; Decide turns it into
+  // shadow == true only for entries that can use evidence. `now_ms` is
+  // any monotonic millisecond clock (injected for TTL testability).
   ServingDecision Decide(const ExprPtr& bound_predicate,
                          const std::vector<size_t>& cols,
                          const PromotionPolicy& policy, bool shadow_sampled,
                          int64_t now_ms) SIA_EXCLUDES(mutex_);
 
-  // Publishes a finished background synthesis: kSynthesizing →
-  // kQuarantined (entries with a learned predicate) or kPromoted
-  // (nothing to learn — serving the original is the verified answer).
-  // Any other current state is an illegal transition and returns
-  // kInvalidArgument; a vanished marker returns kNotFound (the job was
-  // aborted or the cache cleared while it ran).
+  // The blocking consultation, for callers that run the ladder on their
+  // own thread. Returns the published entry on a hit, whatever its
+  // state. On a miss it inserts a kSynthesizing marker and returns
+  // nullopt: the caller now holds the marker and must release it, which
+  // a MarkerGuard guarantees. Finding another caller's marker, it waits
+  // on the cache's condvar until CompleteSynthesis, AbortSynthesis or
+  // Clear signals, then decides again — so a failed leader hands the
+  // key to a waiter. Counts one hit or miss per call.
+  std::optional<Entry> DecideOrWait(const ExprPtr& bound_predicate,
+                                    const std::vector<size_t>& cols)
+      SIA_EXCLUDES(mutex_);
+
+  // Publishes a finished synthesis: kSynthesizing → kQuarantined
+  // (entries with a learned predicate) or kPromoted (nothing to learn —
+  // serving the original is the verified answer). A `trusted` publish
+  // (the synchronous path, which validated the predicate it conjoins)
+  // goes straight to kPromoted. Any other current state is an illegal
+  // transition and returns kInvalidArgument; a vanished marker returns
+  // kNotFound (the job was aborted or the cache cleared while it ran).
   [[nodiscard]] Status CompleteSynthesis(const ExprPtr& bound_predicate,
                                          const std::vector<size_t>& cols,
-                                         Entry entry) SIA_EXCLUDES(mutex_);
+                                         Entry entry, bool trusted = false)
+      SIA_EXCLUDES(mutex_);
 
   // Releases a kSynthesizing marker without publishing — the crashed /
-  // dropped / drained background job path. The key becomes re-queueable
-  // (the next Decide miss enqueues again); entries in any other state
-  // are left untouched.
+  // failed / dropped / drained path. The key becomes re-claimable (the
+  // next miss enqueues or synthesizes again) and DecideOrWait waiters
+  // wake; entries in any other state are left untouched.
   void AbortSynthesis(const ExprPtr& bound_predicate,
                       const std::vector<size_t>& cols) SIA_EXCLUDES(mutex_);
+
+  // Scoped owner of a marker a DecideOrWait miss handed out. Publish()
+  // completes it as a trusted entry; a guard destroyed unpublished — an
+  // error return or an exception out of the ladder — aborts it, so
+  // waiters are never stranded and errors are never cached.
+  class MarkerGuard {
+   public:
+    MarkerGuard(RewriteCache* cache, ExprPtr bound_predicate,
+                std::vector<size_t> cols);
+    ~MarkerGuard();
+    MarkerGuard(const MarkerGuard&) = delete;
+    MarkerGuard& operator=(const MarkerGuard&) = delete;
+
+    // CompleteSynthesis(..., trusted = true); the guard is released
+    // either way. kNotFound when Clear() dropped the marker mid-run.
+    [[nodiscard]] Status Publish(Entry entry);
+
+   private:
+    RewriteCache* cache_;  // null once published
+    ExprPtr bound_predicate_;
+    std::vector<size_t> cols_;
+  };
 
   // Folds one shadow execution's evidence into the entry and returns the
   // resulting state. Promotion: a quarantined, unpoisoned entry reaching
@@ -208,48 +236,10 @@ class RewriteCache {
       const ShadowOutcome& outcome, const PromotionPolicy& policy,
       int64_t now_ms) SIA_EXCLUDES(mutex_);
 
-  // Looks up, and on a miss runs `synthesize()` — at most once per key
-  // across all concurrent callers — and caches its result. `synthesize`
-  // returns either Result<Entry> or (legacy form) Result<SynthesisResult>.
-  //
-  // Concurrency: the first thread to miss on a key becomes its leader
-  // and synthesizes outside the lock; later arrivals block until the
-  // leader publishes, then return its entry. A failed synthesis is NOT
-  // cached — the leader returns the error and one waiter takes over as
-  // the new leader, so a transient solver failure does not poison the
-  // key. A synthesize() that throws is mapped to kInternal (leaking the
-  // exception would strand the waiters).
-  template <typename F>
-  [[nodiscard]] Result<Entry> GetOrSynthesize(const ExprPtr& bound_predicate,
-                                const std::vector<size_t>& cols,
-                                F&& synthesize) SIA_EXCLUDES(mutex_) {
-    const std::string key = MakeKey(bound_predicate, cols);
-    MutexLock lock(&mutex_);
-    for (;;) {
-      const auto it = entries_.find(key);
-      if (it != entries_.end()) {
-        ++hits_;
-        return it->second;
-      }
-      if (inflight_.insert(key).second) break;  // we lead; synthesize below
-      ++coalesced_;
-      // Wait for the leader, then re-check from the top: entry present
-      // means the leader published (count it a hit); entry absent means
-      // the leader failed and this thread may take over.
-      while (inflight_.contains(key)) inflight_cv_.Wait(&mutex_);
-    }
-    ++misses_;
-    lock.Unlock();
-    Result<Entry> result = RunSynthesize(std::forward<F>(synthesize));
-    lock.Lock();
-    inflight_.erase(key);
-    inflight_cv_.NotifyAll();
-    if (!result.ok()) return result;
-    entries_[key] = *result;
-    return result;
-  }
-
   Stats stats() const SIA_EXCLUDES(mutex_);
+  // Drops every entry, markers included, and wakes DecideOrWait waiters
+  // (one of them claims the key anew). A leader whose marker was dropped
+  // gets kNotFound from its publish unless a new marker took its place.
   void Clear() SIA_EXCLUDES(mutex_);
 
   // One entry's observable lifecycle state, for OBSERVE / sia_top.
@@ -271,39 +261,19 @@ class RewriteCache {
   static std::string MakeKey(const ExprPtr& bound_predicate,
                              const std::vector<size_t>& cols);
 
-  template <typename F>
-  [[nodiscard]] static Result<Entry> RunSynthesize(F&& synthesize) {
-    using R = std::decay_t<decltype(synthesize())>;
-    try {
-      if constexpr (std::is_same_v<R, Result<Entry>>) {
-        return synthesize();
-      } else {
-        // Legacy callback: Result<SynthesisResult>. kFull when a
-        // predicate was learned, kOriginal otherwise.
-        auto result = synthesize();
-        if (!result.ok()) return result.status();
-        Entry entry;
-        entry.status = result->status;
-        entry.predicate = result->predicate;
-        entry.rung = result->has_predicate() ? 0 : 3;
-        return entry;
-      }
-    } catch (const std::exception& e) {
-      return Status::Internal(std::string("synthesize() threw: ") + e.what());
-    } catch (...) {
-      return Status::Internal("synthesize() threw a non-std exception");
-    }
-  }
+  // Counts one consultation's outcome: the stats and the
+  // rewrite.cache.{hit,miss} counters. Decide and DecideOrWait are the
+  // only callers.
+  void CountLocked(bool hit) SIA_REQUIRES(mutex_);
 
-  // Leaf lock; never held across a synthesize() call (the single-flight
-  // protocol releases it around the CEGIS run and retakes it to
-  // publish), so a slow solver cannot serialize unrelated lookups. The
-  // obs registry lock may be taken under it (promotion counters).
+  // Leaf lock; never held across synthesis (a marker holder runs the
+  // ladder unlocked), so a slow solver cannot serialize unrelated
+  // lookups. The obs registry lock may be taken under it (promotion
+  // counters).
   mutable Mutex mutex_;
-  CondVar inflight_cv_;
+  // Signalled whenever a marker goes away (publish, abort, Clear).
+  CondVar marker_cv_;
   std::map<std::string, Entry> entries_ SIA_GUARDED_BY(mutex_);
-  // keys with a synthesis in progress
-  std::set<std::string> inflight_ SIA_GUARDED_BY(mutex_);
   size_t hits_ SIA_GUARDED_BY(mutex_) = 0;
   size_t misses_ SIA_GUARDED_BY(mutex_) = 0;
   size_t coalesced_ SIA_GUARDED_BY(mutex_) = 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <set>
 
 #include "check/expr_validator.h"
@@ -100,63 +101,50 @@ Result<RewriteOutcome> RewriteQueryImpl(const ParsedQuery& query,
   const Schema& joint = key.joint;
   const std::vector<size_t>& cols = key.cols;
 
-  // Folds a finished ladder run into the outcome.
-  auto adopt_run = [&](LadderRun run) {
-    outcome.synthesis = std::move(run.synthesis);
-    outcome.learned = run.learned;
-    outcome.rung = run.rung;
-    outcome.degradation = std::move(run.degradation);
-    if (outcome.learned != nullptr) {
+  // Conjoins a learned predicate (bound against the joint schema of the
+  // key, so a cached one conjoins exactly as where it was synthesized).
+  auto conjoin = [&](const ExprPtr& learned) {
+    outcome.learned = learned;
+    if (learned != nullptr) {
       outcome.rewritten.where =
-          Expr::Logic(LogicOp::kAnd, query.where, outcome.learned);
+          Expr::Logic(LogicOp::kAnd, query.where, learned);
     }
   };
 
-  // The degradation ladder, filling `outcome` as it goes and returning
-  // the cacheable entry. Runs directly, or as the single-flight miss
-  // callback when options.cache is set.
-  auto run_ladder = [&]() -> Result<RewriteCache::Entry> {
-    SIA_ASSIGN_OR_RETURN(LadderRun run,
-                         RunSynthesisLadder(bound, joint, cols, options));
-    adopt_run(std::move(run));
-    RewriteCache::Entry entry;
-    entry.status = outcome.synthesis.status;
-    entry.predicate = outcome.learned;
-    entry.rung = static_cast<int>(outcome.rung);
-    return entry;
-  };
-
+  std::optional<RewriteCache::MarkerGuard> marker;
   if (options.cache != nullptr) {
-    bool ran_here = false;
-    auto cached = options.cache->GetOrSynthesize(bound, cols, [&]() {
-      ran_here = true;
-      return run_ladder();
-    });
-    if (!cached.ok()) return cached.status();
-    if (!ran_here) {
+    std::optional<RewriteCache::Entry> cached =
+        options.cache->DecideOrWait(bound, cols);
+    if (cached.has_value()) {
       // Served from the cache (possibly after waiting out another
-      // thread's in-flight synthesis): rebuild the outcome from the
-      // entry. The learned predicate is bound against the joint schema
-      // of (bound WHERE, Cols') — the cache key — so it conjoins here
-      // exactly as it did in the call that synthesized it.
-      SIA_COUNTER_INC("rewrite.cache.hit");
+      // caller's synthesis of the key).
       outcome.from_cache = true;
       outcome.rung = static_cast<RewriteRung>(cached->rung);
       outcome.synthesis.status = cached->status;
       outcome.synthesis.predicate = cached->predicate;
-      outcome.learned = cached->predicate;
-      if (outcome.learned != nullptr) {
-        outcome.rewritten.where =
-            Expr::Logic(LogicOp::kAnd, query.where, outcome.learned);
-      }
-    } else {
-      SIA_COUNTER_INC("rewrite.cache.miss");
+      conjoin(cached->predicate);
+      return outcome;
     }
-    return outcome;
+    // This call holds the key's marker; an error or exception out of the
+    // ladder below aborts it, handing the key to a waiter.
+    marker.emplace(options.cache, bound, cols);
   }
 
-  auto ladder = run_ladder();
-  if (!ladder.ok()) return ladder.status();
+  SIA_ASSIGN_OR_RETURN(LadderRun run,
+                       RunSynthesisLadder(bound, joint, cols, options));
+  outcome.synthesis = std::move(run.synthesis);
+  outcome.rung = run.rung;
+  outcome.degradation = std::move(run.degradation);
+  conjoin(run.learned);
+  if (marker.has_value()) {
+    RewriteCache::Entry entry;
+    entry.status = outcome.synthesis.status;
+    entry.predicate = outcome.learned;
+    entry.rung = static_cast<int>(outcome.rung);
+    // A failed publish (the cache was cleared mid-run) only means the
+    // result goes uncached; it is still this query's answer.
+    (void)marker->Publish(std::move(entry));
+  }
   return outcome;
 }
 

@@ -33,12 +33,15 @@ struct RewriteOptions {
   // straight to "no rewrite".
   bool enable_retry = true;              // rung 2: reseeded, budget-halved
   bool enable_interval_fallback = true;  // rung 3: single-column interval
-  // Optional shared synthesis cache (rewrite/rewrite_cache.h). When set,
-  // the whole degradation ladder runs through the cache's single-flight
-  // GetOrSynthesize keyed by (bound WHERE, Cols'): a repeated predicate
-  // pays the CEGIS cost once per process, and concurrent batch workers
-  // missing on the same key block on the one in-flight synthesis instead
-  // of duplicating it. Borrowed, not owned; must outlive the call.
+  // Optional shared synthesis cache (rewrite/rewrite_cache.h), keyed by
+  // (bound WHERE, Cols'). When set, the call consults it with the
+  // blocking RewriteCache::DecideOrWait: a hit is served from the cache;
+  // a miss claims the key's kSynthesizing marker, runs the ladder, and
+  // publishes a trusted (kPromoted) entry — or, on error, releases the
+  // marker. A repeated predicate pays the CEGIS cost once per process,
+  // and concurrent batch workers missing on one key wait for the single
+  // ladder run instead of duplicating it. Borrowed, not owned; must
+  // outlive the call.
   RewriteCache* cache = nullptr;
 };
 

@@ -11,9 +11,8 @@
 // (Retry-After hint) and closed, so overload degrades to fast, explicit
 // refusals instead of unbounded queueing. Workers (long-running tasks on
 // a private common/thread_pool) read the request frame, run it through
-// QueryService — rewrite ladder, shared RewriteCache, optional execution
-// — and write the response. Per-request deadlines come from
-// ServiceOptions::request_deadline_ms; per-request spans are
+// QueryService — cache decision, background-learning enqueue, optional
+// execution — and write the response. Per-request spans are
 // server.accept / server.queue / server.rewrite / server.execute /
 // server.respond.
 //

@@ -66,7 +66,7 @@ QueryService::QueryService(const ServiceOptions& options)
 QueryService::~QueryService() { DrainBackground(); }
 
 void QueryService::StartBackground(ThreadPool* pool) {
-  if (!options_.background_learning || synthesizer_ != nullptr) return;
+  if (synthesizer_ != nullptr) return;
   BackgroundSynthesizer::Options opts;
   opts.rewrite.target_table = options_.target_table;
   if (options_.max_iterations > 0) {
@@ -188,68 +188,23 @@ std::string QueryService::HandleQuery(const std::string& sql,
       std::find(parsed->tables.begin(), parsed->tables.end(),
                 options_.target_table) != parsed->tables.end();
   const auto rewrite_start = std::chrono::steady_clock::now();
-  if (has_target && synthesizer_ != nullptr) {
+  RewriteOutcome outcome;
+  outcome.rewritten = *parsed;
+  RewriteKey key;
+  ServingDecision decision;
+  if (has_target) {
     SIA_TRACE_SPAN("server.rewrite");
     RewriteOptions key_options;
     key_options.target_table = options_.target_table;
-    auto key = MakeRewriteKey(*parsed, catalog_, key_options);
-    if (!key.ok()) return FormatError(key.status());
-    return HandleQueryLearning(*parsed, *key, queue_us,
-                               ElapsedMicros(rewrite_start));
-  }
-  RewriteOutcome outcome;
-  if (has_target) {
-    SIA_TRACE_SPAN("server.rewrite");
-    RewriteOptions rewrite_options;
-    rewrite_options.target_table = options_.target_table;
-    rewrite_options.cache = &cache_;
-    if (options_.max_iterations > 0) {
-      rewrite_options.synthesis.max_iterations = options_.max_iterations;
+    auto made = MakeRewriteKey(*parsed, catalog_, key_options);
+    if (!made.ok()) return FormatError(made.status());
+    key = std::move(*made);
+    // Without a background lane nothing could learn a miss, so the
+    // original is served and the cache is left alone.
+    if (key.synthesizable && synthesizer_ != nullptr) {
+      decision = cache_.Decide(key.bound, key.cols, policy_, SampleShadow(),
+                               SteadyMillis());
     }
-    if (options_.request_deadline_ms > 0) {
-      rewrite_options.deadline =
-          Deadline::FromNowMillis(options_.request_deadline_ms);
-    }
-    auto rewritten = RewriteQuery(*parsed, catalog_, rewrite_options);
-    if (!rewritten.ok()) return FormatError(rewritten.status());
-    outcome = std::move(*rewritten);
-  } else {
-    outcome.rewritten = *parsed;
-  }
-  const int64_t rewrite_us = ElapsedMicros(rewrite_start);
-
-  QueryReply fields = ReplyFromOutcome(outcome);
-  fields.queue_us = queue_us;
-  fields.rewrite_us = rewrite_us;
-
-  if (data_.has_value()) {
-    SIA_TRACE_SPAN("server.execute");
-    const auto exec_start = std::chrono::steady_clock::now();
-    const Status executed =
-        ExecuteInto(outcome.rewritten, catalog_, executor_, &fields);
-    if (!executed.ok()) return FormatError(executed);
-    fields.exec_us = ElapsedMicros(exec_start);
-  }
-  if (fields.from_cache) {
-    SIA_HISTOGRAM_RECORD("server.handle.hit_us",
-                         fields.rewrite_us + fields.exec_us);
-  } else {
-    SIA_HISTOGRAM_RECORD("server.handle.miss_us",
-                         fields.rewrite_us + fields.exec_us);
-  }
-  return FormatOkQuery(fields);
-}
-
-std::string QueryService::HandleQueryLearning(const ParsedQuery& parsed,
-                                              const RewriteKey& key,
-                                              int64_t queue_us,
-                                              int64_t rewrite_start_us) {
-  RewriteOutcome outcome;
-  outcome.rewritten = parsed;
-  ServingDecision decision;
-  if (key.synthesizable) {
-    decision = cache_.Decide(key.bound, key.cols, policy_, SampleShadow(),
-                             SteadyMillis());
     if (decision.enqueue) {
       // This request owns the fresh kSynthesizing marker; hand the key
       // to the background lane and keep serving the original. A full or
@@ -259,7 +214,7 @@ std::string QueryService::HandleQueryLearning(const ParsedQuery& parsed,
       job.bound = key.bound;
       job.cols = key.cols;
       job.joint = key.joint;
-      job.query = parsed;
+      job.query = *parsed;
       job.trace_id = obs::CurrentTraceId();
       (void)synthesizer_->Enqueue(std::move(job));
     }
@@ -270,13 +225,13 @@ std::string QueryService::HandleQueryLearning(const ParsedQuery& parsed,
       outcome.rung = static_cast<RewriteRung>(decision.rung);
       outcome.from_cache = true;
       outcome.rewritten.where =
-          Expr::Logic(LogicOp::kAnd, parsed.where, decision.predicate);
+          Expr::Logic(LogicOp::kAnd, parsed->where, decision.predicate);
     }
   }
 
   QueryReply fields = ReplyFromOutcome(outcome);
   fields.queue_us = queue_us;
-  fields.rewrite_us = rewrite_start_us;
+  fields.rewrite_us = ElapsedMicros(rewrite_start);
 
   if (data_.has_value()) {
     SIA_TRACE_SPAN("server.execute");
@@ -287,10 +242,10 @@ std::string QueryService::HandleQueryLearning(const ParsedQuery& parsed,
       // candidate and feed the evidence back. Quarantined entries still
       // serve the original's digests; promoted ones serve the rewrite's
       // unless the cross-check just failed.
-      ParsedQuery rewritten = parsed;
+      ParsedQuery rewritten = *parsed;
       rewritten.where =
-          Expr::Logic(LogicOp::kAnd, parsed.where, decision.predicate);
-      executed = ShadowExecute(parsed, rewritten, decision.serve_rewrite,
+          Expr::Logic(LogicOp::kAnd, parsed->where, decision.predicate);
+      executed = ShadowExecute(*parsed, rewritten, decision.serve_rewrite,
                                key.bound, key.cols, &fields);
     } else {
       executed = ExecuteInto(outcome.rewritten, catalog_, executor_, &fields);

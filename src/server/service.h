@@ -10,7 +10,8 @@
 //
 // Handle() is called concurrently from every worker; all shared state is
 // either immutable after construction (catalog, tables) or internally
-// synchronized (RewriteCache single-flight, Executor's shared pool).
+// synchronized (RewriteCache, BackgroundSynthesizer, Executor's shared
+// pool).
 
 #include <atomic>
 #include <cstdint>
@@ -36,24 +37,15 @@ struct ServiceOptions {
   // and a batch lint run can be configured identically.
   std::string target_table = "lineitem";
   int max_iterations = 0;        // 0 = synthesizer default
-  // Per-request wall-clock budget for the rewrite ladder (0 = none).
-  // Unlike sia_lint --deadline-ms, this is naturally per-request: each
-  // request derives a fresh Deadline when a worker picks it up.
-  int64_t request_deadline_ms = 0;
   // When > 0, generate TPC-H data at this scale factor and execute every
   // rewritten query, reporting result digests in the response.
   double scale_factor = 0;
   uint64_t data_seed = 42;
 
   // --- background learning loop ("never synthesize on the serving
-  // path") ------------------------------------------------------------
-  // When true (and StartBackground was called), a cache miss is answered
-  // immediately with the original query and the key is queued for
-  // background synthesis; entries then earn promotion on measured shadow
-  // evidence. When false, the legacy synchronous ladder runs on the
-  // serving path (sia_serve --sync-rewrite), which is what byte-exact
-  // digest comparisons against batch runs need.
-  bool background_learning = true;
+  // path"): a cache miss is answered immediately with the original query
+  // and the key is queued for background synthesis; entries then earn
+  // promotion on measured shadow evidence.
   int promote_after = 3;           // shadow wins required to promote
   int demote_after = 3;            // shadow losses that demote
   double shadow_sample_rate = 0.1; // fraction of eligible serves shadowed
@@ -80,11 +72,11 @@ class QueryService {
   QueryService(const QueryService&) = delete;
   QueryService& operator=(const QueryService&) = delete;
 
-  // Turns the background learning loop on (when the options ask for it):
-  // misses stop synthesizing inline and enqueue onto `pool`'s background
-  // lane instead. `pool` may be null — a dedicated drainer thread is
+  // Turns the background learning loop on: misses enqueue onto `pool`'s
+  // background lane. `pool` may be null — a dedicated drainer thread is
   // used then. Call before the first concurrent Handle(); the server
-  // calls it at startup.
+  // calls it at startup. Until then every query is answered with the
+  // original, as a miss is.
   void StartBackground(ThreadPool* pool);
 
   // Stops the background lane: queued jobs are aborted (their keys
@@ -108,12 +100,9 @@ class QueryService {
   // states as one JSON document. Pull-side only — it samples and
   // renders, never touching serving state beyond read-only snapshots.
   std::string HandleObserve();
+  // The serving path: consult the cache state machine, maybe enqueue,
+  // never synthesize; then execute (or shadow) when data is loaded.
   std::string HandleQuery(const std::string& sql, int64_t queue_us);
-  // The background-learning serving path for a synthesizable query:
-  // consult the cache state machine, maybe enqueue, never synthesize.
-  std::string HandleQueryLearning(const ParsedQuery& parsed,
-                                  const RewriteKey& key, int64_t queue_us,
-                                  int64_t rewrite_start_us);
   // Paranoid-executes `rewritten` against `original`, folds the evidence
   // into the cache entry for (bound, cols), and fills `reply` with the
   // servable digests (the rewrite's only when `serve_rewrite` and the

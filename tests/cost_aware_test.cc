@@ -119,6 +119,15 @@ TEST_F(SelectivityTest, CostAwareRejectsVacuousRewrite) {
 
 // --- RewriteCache ---------------------------------------------------------------
 
+// Publishes `entry` for (p, cols) through the synchronous protocol: the
+// miss claims the key's marker and the guard publishes it trusted.
+void Publish(RewriteCache& cache, const ExprPtr& p,
+             const std::vector<size_t>& cols, RewriteCache::Entry entry) {
+  ASSERT_FALSE(cache.DecideOrWait(p, cols).has_value());
+  RewriteCache::MarkerGuard marker(&cache, p, cols);
+  ASSERT_TRUE(marker.Publish(std::move(entry)).ok());
+}
+
 TEST(RewriteCacheTest, MissThenHit) {
   Schema s;
   s.AddColumn({"t", "a", DataType::kInteger, false});
@@ -130,21 +139,27 @@ TEST(RewriteCacheTest, MissThenHit) {
   EXPECT_FALSE(cache.Lookup(p, {0}).has_value());
 
   int synth_calls = 0;
-  auto synthesize = [&]() {
+  auto get = [&]() -> RewriteCache::Entry {
+    if (auto hit = cache.DecideOrWait(p, {0})) return *hit;
+    RewriteCache::MarkerGuard marker(&cache, p, {0});
     ++synth_calls;
-    return Synthesize(p, s, {0});
+    const SynthesisResult result = Synthesize(p, s, {0}).value();
+    RewriteCache::Entry entry;
+    entry.status = result.status;
+    entry.predicate = result.predicate;
+    EXPECT_TRUE(marker.Publish(entry).ok());
+    return entry;
   };
-  auto first = cache.GetOrSynthesize(p, {0}, synthesize);
-  ASSERT_TRUE(first.ok());
+  const RewriteCache::Entry first = get();
   EXPECT_EQ(synth_calls, 1);
-  auto second = cache.GetOrSynthesize(p, {0}, synthesize);
-  ASSERT_TRUE(second.ok());
+  const RewriteCache::Entry second = get();
   EXPECT_EQ(synth_calls, 1);  // served from cache
-  EXPECT_TRUE(Expr::Equal(first->predicate, second->predicate));
+  EXPECT_TRUE(Expr::Equal(first.predicate, second.predicate));
+  EXPECT_EQ(second.state, EntryState::kPromoted);  // trusted publish
 
   const auto stats = cache.stats();
   EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(stats.misses, 2u);  // the explicit Lookup + the first GetOr
+  EXPECT_EQ(stats.misses, 1u);  // Lookup inspects without counting
   EXPECT_EQ(stats.entries, 1u);
 }
 
@@ -154,7 +169,7 @@ TEST(RewriteCacheTest, DistinctColumnSetsAreDistinctKeys) {
   s.AddColumn({"t", "b", DataType::kInteger, false});
   ExprPtr p = Bind(Col("a") < Col("b"), s).value();
   RewriteCache cache;
-  cache.Insert(p, {0}, {SynthesisStatus::kNone, nullptr});
+  Publish(cache, p, {0}, {SynthesisStatus::kNone, nullptr});
   EXPECT_TRUE(cache.Lookup(p, {0}).has_value());
   EXPECT_FALSE(cache.Lookup(p, {1}).has_value());
 }
@@ -166,7 +181,7 @@ TEST(RewriteCacheTest, StructurallyEqualPredicatesShareEntries) {
   ExprPtr p1 = Bind(Col("a") < Col("b"), s).value();
   ExprPtr p2 = Bind(Col("a") < Col("b"), s).value();  // distinct tree
   RewriteCache cache;
-  cache.Insert(p1, {0}, {SynthesisStatus::kValid, p1});
+  Publish(cache, p1, {0}, {SynthesisStatus::kValid, p1});
   EXPECT_TRUE(cache.Lookup(p2, {0}).has_value());
 }
 
@@ -175,7 +190,7 @@ TEST(RewriteCacheTest, ClearResets) {
   s.AddColumn({"t", "a", DataType::kInteger, false});
   ExprPtr p = Bind(Col("a") < Lit(0), s).value();
   RewriteCache cache;
-  cache.Insert(p, {0}, {SynthesisStatus::kNone, nullptr});
+  Publish(cache, p, {0}, {SynthesisStatus::kNone, nullptr});
   cache.Clear();
   EXPECT_FALSE(cache.Lookup(p, {0}).has_value());
   EXPECT_EQ(cache.stats().entries, 0u);

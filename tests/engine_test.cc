@@ -7,6 +7,7 @@
 #include "engine/exec_expr.h"
 #include "engine/executor.h"
 #include "engine/runner.h"
+#include "engine/selectivity.h"
 #include "engine/tpch_gen.h"
 #include "ir/binder.h"
 #include "ir/builder.h"
@@ -283,10 +284,11 @@ TEST_F(ExecutorTest, SelectivityMeasurement) {
                                                  .value()),
            s)
           .value();
-  auto sel = MeasureSelectivity(data_.lineitem, p);
+  auto sel = EstimateSelectivity(data_.lineitem, p, /*sample_size=*/0);
   ASSERT_TRUE(sel.ok());
-  EXPECT_GT(*sel, 0.3);
-  EXPECT_LT(*sel, 0.7);  // midpoint of the 1992-1998 range
+  EXPECT_EQ(sel->sampled_rows, data_.lineitem.row_count());  // exact scan
+  EXPECT_GT(sel->selectivity, 0.3);
+  EXPECT_LT(sel->selectivity, 0.7);  // midpoint of the 1992-1998 range
 }
 
 }  // namespace

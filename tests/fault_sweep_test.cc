@@ -214,7 +214,6 @@ TEST_F(FaultSweepTest, BackgroundLearningNeverWedgesUnderFaults) {
   server::ServiceOptions options;
   options.scale_factor = 0.002;
   options.max_iterations = 6;
-  options.background_learning = true;
   options.shadow_sample_rate = 1.0;
   options.promote_after = 1;
   options.background_budget_ms = 5000;
@@ -295,7 +294,6 @@ TEST_F(FaultSweepTest, BackgroundLearningEnvArmedSweep) {
   server::ServiceOptions options;
   options.scale_factor = 0.002;
   options.max_iterations = 6;
-  options.background_learning = true;
   options.shadow_sample_rate = 1.0;
   options.promote_after = 1;
   options.background_budget_ms = 5000;

@@ -6,6 +6,7 @@
 #include "catalog/catalog.h"
 #include "engine/executor.h"
 #include "engine/runner.h"
+#include "engine/selectivity.h"
 #include "engine/tpch_gen.h"
 #include "ir/binder.h"
 #include "parser/parser.h"
@@ -93,10 +94,11 @@ TEST_F(EndToEndTest, LearnedPredicateSelectivityMatchesFilteredRows) {
   // Rebase the learned predicate from the joint schema onto lineitem.
   const Schema joint = catalog_.JointSchema({"lineitem", "orders"}).value();
   // lineitem occupies the first 10 joint columns, so indices line up.
-  auto sel = MeasureSelectivity(data_.lineitem, outcome->learned);
+  auto sel = EstimateSelectivity(data_.lineitem, outcome->learned,
+                                 /*sample_size=*/0);
   ASSERT_TRUE(sel.ok()) << sel.status().ToString();
-  EXPECT_GT(*sel, 0.0);
-  EXPECT_LT(*sel, 1.0);
+  EXPECT_GT(sel->selectivity, 0.0);
+  EXPECT_LT(sel->selectivity, 1.0);
 }
 
 }  // namespace

@@ -2,8 +2,8 @@
 // is meant to run under ThreadSanitizer (scripts/check.sh builds this
 // target into the TSan tree): the assertions are about determinism —
 // byte-identical query output at every thread count — and about the
-// single-flight cache running exactly one synthesis per key no matter
-// how many workers race on it.
+// rewrite cache's kSynthesizing marker running exactly one synthesis per
+// key no matter how many workers race on it.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -274,27 +274,49 @@ RewriteCache::Entry MakeEntry(SynthesisStatus status) {
   return e;
 }
 
-TEST(SingleFlightCacheTest, ExactlyOneSynthesisUnderEightRacingWorkers) {
-  RewriteCache cache;
+ExprPtr CacheKey() {
   Schema s;
   s.AddColumn({"t", "x", DataType::kInteger, false});
-  const ExprPtr key = Bind(Col("x") < Lit(7), s).value();
+  return Bind(Col("x") < Lit(7), s).value();
+}
+
+// The synchronous protocol RewriteQuery runs against a cache: a hit is
+// returned; a miss claims the key's marker, runs `synthesize`, and
+// publishes its entry — an error (or exception) releases the marker.
+template <typename F>
+Result<RewriteCache::Entry> DecideAndRun(RewriteCache& cache,
+                                         const ExprPtr& key, F&& synthesize) {
+  if (auto hit = cache.DecideOrWait(key, {0})) return *hit;
+  RewriteCache::MarkerGuard marker(&cache, key, {0});
+  SIA_ASSIGN_OR_RETURN(RewriteCache::Entry entry, synthesize());
+  SIA_RETURN_IF_ERROR(marker.Publish(entry));
+  return entry;
+}
+
+// Spins until `cache` has seen `n` waits on a marker (bounded at 30 s so a
+// broken protocol fails the test instead of hanging it).
+void AwaitCoalesced(const RewriteCache& cache, size_t n) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (cache.stats().coalesced < n &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
+
+TEST(SingleFlightCacheTest, ExactlyOneSynthesisUnderEightRacingWorkers) {
+  RewriteCache cache;
+  const ExprPtr key = CacheKey();
 
   std::atomic<int> calls{0};
   constexpr int kWorkers = 8;
   auto synthesize = [&]() -> Result<RewriteCache::Entry> {
     calls.fetch_add(1);
-    // Hold the in-flight entry open until every other worker has parked
-    // on it, so "they were all really racing" is guaranteed, not timing-
-    // dependent. stats() only takes the cache mutex, which the leader
-    // does NOT hold while synthesizing.
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(30);
-    while (cache.stats().coalesced <
-               static_cast<size_t>(kWorkers - 1) &&
-           std::chrono::steady_clock::now() < deadline) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
+    // Hold the marker until every other worker has parked on it, so
+    // "they were all really racing" is guaranteed, not timing-dependent.
+    // stats() only takes the cache mutex, which the marker holder does
+    // NOT hold while synthesizing.
+    AwaitCoalesced(cache, kWorkers - 1);
     return MakeEntry(SynthesisStatus::kOptimal);
   };
 
@@ -302,7 +324,7 @@ TEST(SingleFlightCacheTest, ExactlyOneSynthesisUnderEightRacingWorkers) {
   std::atomic<int> ok_results{0};
   for (int w = 0; w < kWorkers; ++w) {
     workers.emplace_back([&] {
-      auto r = cache.GetOrSynthesize(key, {0}, synthesize);
+      auto r = DecideAndRun(cache, key, synthesize);
       if (r.ok() && r->status == SynthesisStatus::kOptimal) {
         ok_results.fetch_add(1);
       }
@@ -317,24 +339,23 @@ TEST(SingleFlightCacheTest, ExactlyOneSynthesisUnderEightRacingWorkers) {
   EXPECT_EQ(st.hits, static_cast<size_t>(kWorkers - 1));
   EXPECT_EQ(st.coalesced, static_cast<size_t>(kWorkers - 1));
   EXPECT_EQ(st.entries, 1u);
+  EXPECT_EQ(st.promoted, 1u);  // a synchronous publish is trusted
 }
 
 TEST(SingleFlightCacheTest, FailedLeaderDoesNotPoisonTheKey) {
   RewriteCache cache;
-  Schema s;
-  s.AddColumn({"t", "x", DataType::kInteger, false});
-  const ExprPtr key = Bind(Col("x") < Lit(7), s).value();
+  const ExprPtr key = CacheKey();
 
   std::atomic<int> calls{0};
   auto failing = [&]() -> Result<RewriteCache::Entry> {
     calls.fetch_add(1);
     return Status::Internal("solver fell over");
   };
-  auto r1 = cache.GetOrSynthesize(key, {0}, failing);
+  auto r1 = DecideAndRun(cache, key, failing);
   ASSERT_FALSE(r1.ok());
   EXPECT_EQ(cache.stats().entries, 0u);  // errors are not cached
 
-  auto r2 = cache.GetOrSynthesize(key, {0}, [&]() -> Result<RewriteCache::Entry> {
+  auto r2 = DecideAndRun(cache, key, [&]() -> Result<RewriteCache::Entry> {
     calls.fetch_add(1);
     return MakeEntry(SynthesisStatus::kValid);
   });
@@ -346,22 +367,15 @@ TEST(SingleFlightCacheTest, FailedLeaderDoesNotPoisonTheKey) {
 
 TEST(SingleFlightCacheTest, WaiterTakesOverWhenLeaderFails) {
   RewriteCache cache;
-  Schema s;
-  s.AddColumn({"t", "x", DataType::kInteger, false});
-  const ExprPtr key = Bind(Col("x") < Lit(7), s).value();
+  const ExprPtr key = CacheKey();
 
   std::atomic<int> calls{0};
   auto synthesize = [&]() -> Result<RewriteCache::Entry> {
     const int call = calls.fetch_add(1);
     if (call == 0) {
       // First leader: wait until the other worker is parked on the
-      // in-flight entry, then fail — forcing the handoff.
-      const auto deadline =
-          std::chrono::steady_clock::now() + std::chrono::seconds(30);
-      while (cache.stats().coalesced < 1 &&
-             std::chrono::steady_clock::now() < deadline) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
+      // marker, then fail — forcing the handoff.
+      AwaitCoalesced(cache, 1);
       return Status::Internal("first attempt failed");
     }
     return MakeEntry(SynthesisStatus::kValid);
@@ -369,14 +383,10 @@ TEST(SingleFlightCacheTest, WaiterTakesOverWhenLeaderFails) {
 
   std::atomic<int> successes{0};
   Thread a([&] {
-    if (cache.GetOrSynthesize(key, {0}, synthesize).ok()) {
-      successes.fetch_add(1);
-    }
+    if (DecideAndRun(cache, key, synthesize).ok()) successes.fetch_add(1);
   });
   Thread b([&] {
-    if (cache.GetOrSynthesize(key, {0}, synthesize).ok()) {
-      successes.fetch_add(1);
-    }
+    if (DecideAndRun(cache, key, synthesize).ok()) successes.fetch_add(1);
   });
   a.Join();
   b.Join();
@@ -388,23 +398,109 @@ TEST(SingleFlightCacheTest, WaiterTakesOverWhenLeaderFails) {
   EXPECT_EQ(cache.stats().entries, 1u);
 }
 
-TEST(SingleFlightCacheTest, ThrowingSynthesizeBecomesInternalError) {
+TEST(SingleFlightCacheTest, ExceptionInGuardScopeReleasesTheMarker) {
   RewriteCache cache;
-  Schema s;
-  s.AddColumn({"t", "x", DataType::kInteger, false});
-  const ExprPtr key = Bind(Col("x") < Lit(7), s).value();
-  auto r = cache.GetOrSynthesize(
-      key, {0}, []() -> Result<RewriteCache::Entry> {
-        throw std::runtime_error("boom");
-      });
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kInternal);
-  EXPECT_NE(r.status().message().find("boom"), std::string::npos);
-  // The key is released: a later call may synthesize again.
-  auto r2 = cache.GetOrSynthesize(key, {0}, [] {
+  const ExprPtr key = CacheKey();
+
+  // A leader whose ladder throws, with a second caller parked on its
+  // marker: unwinding the guard must wake the waiter, which claims the
+  // key and publishes.
+  std::atomic<bool> leader_threw{false};
+  std::atomic<bool> waiter_led{false};
+  ASSERT_FALSE(cache.DecideOrWait(key, {0}).has_value());
+  Thread waiter([&] {
+    auto r = DecideAndRun(cache, key, [&]() -> Result<RewriteCache::Entry> {
+      waiter_led.store(true);
+      return MakeEntry(SynthesisStatus::kNone);
+    });
+    EXPECT_TRUE(r.ok());
+  });
+  try {
+    RewriteCache::MarkerGuard marker(&cache, key, {0});
+    AwaitCoalesced(cache, 1);
+    throw std::runtime_error("boom");
+  } catch (const std::runtime_error&) {
+    leader_threw.store(true);
+  }
+  waiter.Join();
+  EXPECT_TRUE(leader_threw.load());
+  EXPECT_TRUE(waiter_led.load());
+  EXPECT_EQ(cache.stats().entries, 1u);
+
+  // Without a waiter the released key is simply claimable again.
+  cache.Clear();
+  ASSERT_FALSE(cache.DecideOrWait(key, {0}).has_value());
+  try {
+    RewriteCache::MarkerGuard marker(&cache, key, {0});
+    throw std::runtime_error("boom");
+  } catch (const std::runtime_error&) {
+  }
+  EXPECT_FALSE(cache.Lookup(key, {0}).has_value());  // nothing cached
+  auto r = DecideAndRun(cache, key, [] {
     return Result<RewriteCache::Entry>(MakeEntry(SynthesisStatus::kNone));
   });
-  EXPECT_TRUE(r2.ok());
+  EXPECT_TRUE(r.ok());
+  EXPECT_EQ(cache.stats().misses, 2u);
+}
+
+TEST(SingleFlightCacheTest, ServingDecideNeverWaitsOnASynchronousLeader) {
+  RewriteCache cache;
+  const ExprPtr key = CacheKey();
+  const PromotionPolicy policy;
+
+  ASSERT_FALSE(cache.DecideOrWait(key, {0}).has_value());
+  RewriteCache::MarkerGuard marker(&cache, key, {0});
+  // Same thread, marker held: a Decide that waited would deadlock here.
+  const ServingDecision during =
+      cache.Decide(key, {0}, policy, /*shadow_sampled=*/false, /*now_ms=*/0);
+  EXPECT_EQ(during.state, EntryState::kSynthesizing);
+  EXPECT_FALSE(during.enqueue);  // the synchronous leader owns the key
+  EXPECT_FALSE(during.serve_rewrite);
+
+  RewriteCache::Entry entry = MakeEntry(SynthesisStatus::kValid);
+  entry.predicate = key;
+  entry.rung = 0;
+  ASSERT_TRUE(marker.Publish(entry).ok());
+  const ServingDecision after =
+      cache.Decide(key, {0}, policy, /*shadow_sampled=*/false, /*now_ms=*/0);
+  EXPECT_EQ(after.state, EntryState::kPromoted);
+  EXPECT_TRUE(after.serve_rewrite);
+}
+
+TEST(SingleFlightCacheTest, ClearWakesAWaiterWhichBecomesLeader) {
+  RewriteCache cache;
+  const ExprPtr key = CacheKey();
+
+  ASSERT_FALSE(cache.DecideOrWait(key, {0}).has_value());
+  RewriteCache::MarkerGuard stale(&cache, key, {0});
+  std::atomic<bool> waiter_led{false};
+  Thread waiter([&] {
+    auto r = DecideAndRun(cache, key, [&]() -> Result<RewriteCache::Entry> {
+      waiter_led.store(true);
+      return MakeEntry(SynthesisStatus::kOptimal);
+    });
+    EXPECT_TRUE(r.ok());
+  });
+  AwaitCoalesced(cache, 1);
+  cache.Clear();  // drops the held marker and wakes the waiter
+  waiter.Join();
+  EXPECT_TRUE(waiter_led.load());
+
+  // The cleared leader's publish cannot clobber the new leader's entry.
+  EXPECT_FALSE(stale.Publish(MakeEntry(SynthesisStatus::kNone)).ok());
+  const auto entry = cache.Lookup(key, {0});
+  ASSERT_TRUE(entry.has_value());
+  EXPECT_EQ(entry->status, SynthesisStatus::kOptimal);
+
+  // With nobody re-claiming the key, a cleared marker's publish is
+  // kNotFound and nothing is cached.
+  cache.Clear();
+  ASSERT_FALSE(cache.DecideOrWait(key, {0}).has_value());
+  RewriteCache::MarkerGuard cleared(&cache, key, {0});
+  cache.Clear();
+  EXPECT_EQ(cleared.Publish(MakeEntry(SynthesisStatus::kNone)).code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(cache.stats().entries, 0u);
 }
 
 // --- Batch rewriter ---------------------------------------------------------

@@ -340,26 +340,25 @@ TEST(ServerTest, MalformedFramesNeverKillTheServer) {
   EXPECT_GE(counters.protocol_errors, 2u);
 }
 
-// Overload: one worker, a depth-4 queue, rewrites slowed by an injected
-// solver latency, and a 64-connection burst. The queue fills, the
-// overflow is shed with Retry-After hints, and every connection gets an
-// answer — nothing hangs, nothing crashes.
+// Overload: one worker, a depth-4 queue, executions slowed by an
+// injected per-scan latency, and a 64-connection burst. The queue fills,
+// the overflow is shed with Retry-After hints, and every connection gets
+// an answer — nothing hangs, nothing crashes.
 TEST(ServerTest, BurstBeyondQueueDepthShedsExplicitly) {
-  ASSERT_TRUE(FaultRegistry::Instance()
-                  .ArmFromSpec("smt.check=latency:10")
-                  .ok());
-
   ServerOptions options = FastServerOptions();
   options.workers = 1;
   options.queue_depth = 4;
   options.retry_after_ms = 77;
-  // Synchronous rewrites so the injected solver latency actually slows
-  // the single worker; with background learning on, misses would be
-  // answered immediately and the burst would never overflow the queue.
-  options.service.background_learning = false;
+  // Executing every query against a small data set, with each table scan
+  // stalled, keeps the single worker busy for the whole burst (misses
+  // never wait on synthesis, so synthesis cannot be what slows it).
+  options.service.scale_factor = 0.001;
   auto server = SiaServer::Start(options);
   ASSERT_TRUE(server.ok()) << server.status().ToString();
   const uint16_t port = (*server)->port();
+  ASSERT_TRUE(FaultRegistry::Instance()
+                  .ArmFromSpec("engine.scan=latency:10")
+                  .ok());
 
   const uint64_t shed_before =
       obs::MetricsRegistry::Instance().GetCounter("server.requests.shed")
@@ -440,10 +439,6 @@ TEST(ServerTest, DrainMidBurstCompletesAdmittedRequests) {
   ServerOptions options = FastServerOptions();
   options.workers = 2;
   options.queue_depth = 32;
-  // Byte-identical comparison against a serial QueryService needs the
-  // synchronous rewrite path on both sides (background learning serves
-  // the original while the predicate is still being learned).
-  options.service.background_learning = false;
   auto server = SiaServer::Start(options);
   ASSERT_TRUE(server.ok()) << server.status().ToString();
   const uint16_t port = (*server)->port();
@@ -488,7 +483,9 @@ TEST(ServerTest, DrainMidBurstCompletesAdmittedRequests) {
   EXPECT_GT(counters.completed, 0u);
 
   // Serial reference: the same queries through a fresh QueryService must
-  // produce identical rewrite digests (synthesis is deterministic).
+  // produce identical digests. Without data no learned predicate can
+  // earn promotion, so the server answers every query with the original
+  // — exactly what a QueryService with no background lane answers.
   QueryService serial(options.service);
   size_t compared = 0;
   for (size_t i = 0; i < queries->size(); ++i) {
@@ -522,7 +519,6 @@ TEST(ServerTest, MissesNeverBlockOnSynthesis) {
   ServerOptions options = FastServerOptions();
   options.workers = 2;
   options.queue_depth = 128;  // nothing sheds; every request is measured
-  options.service.background_learning = true;
   options.service.background_budget_ms = 500;  // keep drain quick
   auto server = SiaServer::Start(options);
   ASSERT_TRUE(server.ok()) << server.status().ToString();
@@ -602,7 +598,6 @@ TEST(ServiceTest, BadRewriteDemotedBeforeThirdServe) {
   ServiceOptions options;
   options.scale_factor = 0.002;
   options.max_iterations = 2;
-  options.background_learning = true;
   options.shadow_sample_rate = 1.0;  // every eligible serve cross-checks
   options.promote_after = 2;
   QueryService service(options);
@@ -672,7 +667,6 @@ TEST(ServerTest, TraceChainLinksAdmissionSynthesisAndPromotion) {
   // promotes straight from CompleteSynthesis and never meets
   // RecordShadow, which is the span under test.
   options.service.max_iterations = 6;
-  options.service.background_learning = true;
   options.service.shadow_sample_rate = 1.0;  // every serve gathers evidence
   options.service.promote_after = 1;
   options.service.background_budget_ms = 5000;
@@ -762,7 +756,6 @@ TEST(ServerTest, ObservePollingDoesNotPerturbAnswers) {
     ServerOptions options = FastServerOptions();
     options.queue_depth = 128;
     options.service.scale_factor = 0.002;
-    options.service.background_learning = true;
     auto server = SiaServer::Start(options);
     ASSERT_TRUE(server.ok()) << server.status().ToString();
     const uint16_t port = (*server)->port();

@@ -16,7 +16,7 @@
 //                       queries that hit it report which stage burned the
 //                       budget and which degradation-ladder rung answered
 //     --threads N       rewrite --workload queries concurrently on N
-//                       worker threads through one shared single-flight
+//                       worker threads through one shared rewrite
 //                       cache, then lint the outcomes in order. Only
 //                       affects --rewrite + --workload runs. Incompatible
 //                       with --deadline-ms: the deadline is an absolute
@@ -555,11 +555,11 @@ int main(int argc, char** argv) {
       return 2;
     }
     // Batch path: rewrite every workload query up front on a private
-    // pool through one shared single-flight cache, then lint the
-    // outcomes in workload order (output identical to the serial path).
+    // pool through one shared rewrite cache, then lint the outcomes in
+    // workload order (output identical to the serial path).
     // --digests-out also goes through here even at --threads 1 (the
     // pool degenerates to inline execution) so digest lines always come
-    // from cache-mediated outcomes, exactly like a served run.
+    // from cache-mediated outcomes, whatever the thread count.
     std::vector<sia::RewriteOutcome> precomputed;
     bool have_precomputed = false;
     if (options.rewrite &&

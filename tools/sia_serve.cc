@@ -4,6 +4,11 @@
 // stop accepting, finish everything admitted, exit 0 — exit 1 when the
 // drain outlives --drain-ms.
 //
+// Serving never synthesizes: a cache miss is answered with the original
+// query at once and the predicate is learned on the pool's background
+// lane, then promoted on measured shadow evidence (DESIGN.md "Online
+// learning loop").
+//
 //   sia_serve [options]
 //     --port N            TCP port (default 0 = kernel-chosen; the
 //                         chosen port is printed on the LISTENING line)
@@ -11,9 +16,6 @@
 //     --workers N         worker threads (default 2)
 //     --queue-depth N     admission-queue depth; beyond it requests are
 //                         shed with a Retry-After hint (default 64)
-//     --deadline-ms N     per-request rewrite-ladder budget (default 0
-//                         = unlimited; per request, unlike sia_lint's
-//                         whole-process --deadline-ms)
 //     --drain-ms N        graceful-drain budget on SIGTERM (default 10000)
 //     --retry-after-ms N  hint carried in SHED responses (default 100)
 //     --io-timeout-ms N   per-connection read/write budget (default 5000)
@@ -25,19 +27,12 @@
 //     --target TABLE      rewrite target table (default lineitem)
 //     --max-iterations N  synthesis iteration budget (default:
 //                         synthesizer default)
-//     --sync-rewrite      synthesize on the serving path (legacy mode:
-//                         a miss blocks its request on the ladder).
-//                         Default is background learning: misses serve
-//                         the original immediately and the predicate is
-//                         synthesized on the pool's background lane,
-//                         then promoted on measured shadow evidence
 //     --promote-after N   shadow wins required to promote (default 3)
 //     --demote-after N    shadow losses that demote (default 3)
 //     --shadow-sample-rate R  fraction of eligible requests that
 //                         paranoid-cross-check the rewrite (default 0.1)
 //     --background-budget-ms N  per-job synthesis budget on the
-//                         background lane (default 2000); background
-//                         jobs never inherit a request's deadline
+//                         background lane (default 2000)
 //
 // Prints exactly one line to stdout once serving:
 //   LISTENING port=<p> workers=<n> queue_depth=<n> exec=<0|1>
@@ -62,10 +57,10 @@ void HandleSignal(int) { g_shutdown = 1; }
 int Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--port N] [--port-file F] [--workers N]\n"
-               "          [--queue-depth N] [--deadline-ms N] [--drain-ms N]\n"
+               "          [--queue-depth N] [--drain-ms N]\n"
                "          [--retry-after-ms N] [--io-timeout-ms N]\n"
                "          [--scale SF] [--data-seed S] [--target TABLE]\n"
-               "          [--max-iterations N] [--sync-rewrite]\n"
+               "          [--max-iterations N]\n"
                "          [--promote-after N] [--demote-after N]\n"
                "          [--shadow-sample-rate R] [--background-budget-ms N]\n",
                argv0);
@@ -91,8 +86,6 @@ int main(int argc, char** argv) {
       options.workers = static_cast<size_t>(std::atoll(v));
     } else if (arg == "--queue-depth" && (v = next()) != nullptr) {
       options.queue_depth = static_cast<size_t>(std::atoll(v));
-    } else if (arg == "--deadline-ms" && (v = next()) != nullptr) {
-      options.service.request_deadline_ms = std::atoll(v);
     } else if (arg == "--drain-ms" && (v = next()) != nullptr) {
       options.drain_deadline_ms = std::atoll(v);
     } else if (arg == "--retry-after-ms" && (v = next()) != nullptr) {
@@ -107,8 +100,6 @@ int main(int argc, char** argv) {
       options.service.target_table = v;
     } else if (arg == "--max-iterations" && (v = next()) != nullptr) {
       options.service.max_iterations = std::atoi(v);
-    } else if (arg == "--sync-rewrite") {
-      options.service.background_learning = false;
     } else if (arg == "--promote-after" && (v = next()) != nullptr) {
       options.service.promote_after = std::atoi(v);
     } else if (arg == "--demote-after" && (v = next()) != nullptr) {
