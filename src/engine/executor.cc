@@ -4,7 +4,7 @@
 #include <limits>
 #include <map>
 #include <memory>
-#include <unordered_map>
+#include <type_traits>
 #include <utility>
 
 #include "check/plan_validator.h"
@@ -19,32 +19,6 @@
 #include "obs/trace.h"
 
 namespace sia {
-
-Status CheckRowIndexLimit(size_t row_count, const std::string& what) {
-  if (row_count > kMaxRowIndex) {
-    return Status::InvalidArgument(
-        what + " has " + std::to_string(row_count) +
-        " rows, which exceeds the 32-bit row-index limit (" +
-        std::to_string(kMaxRowIndex) + ")");
-  }
-  return Status::OK();
-}
-
-size_t Relation::column_count() const {
-  size_t n = 0;
-  for (const Table* t : parts) n += t->schema().size();
-  return n;
-}
-
-std::pair<size_t, size_t> Relation::Resolve(size_t col) const {
-  size_t offset = 0;
-  for (size_t p = 0; p < parts.size(); ++p) {
-    const size_t width = parts[p]->schema().size();
-    if (col < offset + width) return {p, col - offset};
-    offset += width;
-  }
-  return {parts.size(), 0};  // out of range; caller validates
-}
 
 namespace {
 
@@ -140,29 +114,65 @@ size_t PrefixOffsets(const std::vector<Sized>& per_morsel,
   return offsets->back();
 }
 
-// Filters a relation in place by a compiled predicate. Morsel-parallel:
-// each morsel collects its passing positions into a local vector
-// (CompiledExpr::Run is const and shares no state, so one instance
-// serves every worker), then the gather into the new row-index vectors
-// writes disjoint presized slots. Output order matches the serial loop.
-// Status-returning because a join can legitimately produce more than
-// 2^32 intermediate positions, which must refuse to narrow.
-Status FilterRelation(Relation* rel, const CompiledExpr& pred,
-                      ThreadPool& pool) {
+// The one morsel filter behind scan, filter and join residual. Each
+// morsel tries the vectorized block kernels first and falls back to the
+// row interpreter when they refuse it: a DOUBLE or division program
+// (refused for every morsel) or a NULL-bearing loaded column. A fallback
+// is never invisible: it bumps exec.scan.vectorized_fallback. The
+// interpreter is compiled up front — a morsel must never hit a compile
+// error mid-flight — but its compile status only matters if some morsel
+// actually falls back. Both programs are const and share no state, so
+// one MorselFilter serves every worker.
+class MorselFilter {
+ public:
+  explicit MorselFilter(const ExprPtr& pred)
+      : vectorized_(VectorizedFilter::Compile(pred)),
+        interpreted_(CompiledExpr::Compile(pred)) {}
+
+  // Appends to `out` (empty on entry) the positions in [begin, end) of
+  // `source` — a base Table or a Relation — whose predicate is TRUE.
+  template <typename Source>
+  Status Run(const Source& source, size_t begin, size_t end,
+             std::vector<RowIndex>* out) const {
+    if (vectorized_.ok()) {
+      if (vectorized_->FilterRange(source, begin, end, out).ok()) {
+        return Status::OK();
+      }
+      out->clear();
+      SIA_COUNTER_INC("exec.scan.vectorized_fallback");
+    }
+    if (!interpreted_.ok()) return interpreted_.status();
+    using Cursor = std::conditional_t<std::is_same_v<Source, Table>,
+                                      TableCursor, RelationRow>;
+    Cursor row(source);
+    for (size_t i = begin; i < end; ++i) {
+      row.set_row(i);
+      if (interpreted_->EvalPredicate(row) == 1) {
+        out->push_back(static_cast<RowIndex>(i));
+      }
+    }
+    return Status::OK();
+  }
+
+ private:
+  Result<VectorizedFilter> vectorized_;
+  Result<CompiledExpr> interpreted_;
+};
+
+// Filters a relation in place. Morsel-parallel: each morsel collects its
+// passing positions into a local vector, then the gather into the new
+// row-index vectors writes disjoint presized slots. Output order matches
+// the serial loop. Status-returning because a join can legitimately
+// produce more than 2^32 intermediate positions, which must refuse to
+// narrow.
+Status FilterRelation(Relation* rel, const ExprPtr& pred, ThreadPool& pool) {
   const size_t n = rel->row_count();
   SIA_RETURN_IF_ERROR(CheckRowIndexLimit(n, "filter input"));
+  const MorselFilter filter(pred);
   std::vector<std::vector<RowIndex>> keep(MorselCount(n));
   SIA_RETURN_IF_ERROR(
       pool.ParallelFor(n, kMorselRows, [&](size_t begin, size_t end) {
-        RelationRow row(*rel);
-        std::vector<RowIndex>& local = keep[begin / kMorselRows];
-        for (size_t i = begin; i < end; ++i) {
-          row.set_row(i);
-          if (pred.EvalPredicate(row) == 1) {
-            local.push_back(static_cast<RowIndex>(i));
-          }
-        }
-        return Status::OK();
+        return filter.Run(*rel, begin, end, &keep[begin / kMorselRows]);
       }));
   std::vector<size_t> offsets;
   const size_t total = PrefixOffsets(keep, &offsets);
@@ -182,6 +192,96 @@ Status FilterRelation(Relation* rel, const CompiledExpr& pred,
   rel->rows = std::move(new_rows);
   return Status::OK();
 }
+
+// One side's equi-join key columns, each resolved once to its base
+// column and row-index vector, so hashing a row is two loads per key
+// column and no virtual call.
+class JoinKeys {
+ public:
+  JoinKeys(const Relation& rel, const std::vector<size_t>& cols) {
+    for (const size_t col : cols) {
+      const auto [part, local] = rel.Resolve(col);
+      cols_.push_back({&rel.parts[part]->column(local), rel.rows[part].data()});
+    }
+  }
+
+  // The key hash of relation row `row`; false when any key is NULL. The
+  // NULL flag is out of band, so every 64-bit hash is a real key's.
+  bool Hash(size_t row, uint64_t* hash) const {
+    uint64_t h = 0x12345678ULL;
+    for (const KeyColumn& k : cols_) {
+      const RowIndex r = k.rows[row];
+      if (k.data->IsNull(r)) return false;
+      h = MixHash(h, static_cast<uint64_t>(k.data->IntAt(r)));
+    }
+    *hash = h;
+    return true;
+  }
+
+  // Whether row `row` here and row `other_row` of `other` hold equal keys.
+  bool Equal(size_t row, const JoinKeys& other, size_t other_row) const {
+    for (size_t k = 0; k < cols_.size(); ++k) {
+      const KeyColumn& a = cols_[k];
+      const KeyColumn& b = other.cols_[k];
+      if (a.data->IntAt(a.rows[row]) != b.data->IntAt(b.rows[other_row])) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+ private:
+  struct KeyColumn {
+    const ColumnData* data;
+    const RowIndex* rows;
+  };
+  std::vector<KeyColumn> cols_;
+};
+
+// Flat chained hash table over the build side: a power-of-two head[] of
+// at least twice the build rows, and per build row the next row in its
+// chain plus its stored 64-bit key hash. Rows are inserted in ascending
+// order at the chain head, so a walk meets equal keys in descending row
+// order. That order is part of the join's output contract: it is the
+// order a std::unordered_multimap (libstdc++) gave, and the order_hash
+// values EngineGoldenTest pins depend on it. Read-only once built, so
+// probe workers share it freely.
+class JoinTable {
+ public:
+  static constexpr RowIndex kEnd = UINT32_MAX;  // never a build row
+
+  explicit JoinTable(const JoinKeys& build, size_t rows) : hashes_(rows) {
+    size_t buckets = 2;
+    while (buckets < 2 * rows) buckets *= 2;
+    shift_ = 64 - static_cast<unsigned>(__builtin_ctzll(buckets));
+    head_.assign(buckets, kEnd);
+    next_.assign(rows, kEnd);
+    for (size_t i = 0; i < rows; ++i) {
+      if (!build.Hash(i, &hashes_[i])) continue;  // NULL never matches
+      RowIndex& head = head_[Bucket(hashes_[i])];
+      next_[i] = head;
+      head = static_cast<RowIndex>(i);
+    }
+  }
+
+  // First build row whose bucket `hash` selects; walk with Next().
+  RowIndex First(uint64_t hash) const { return head_[Bucket(hash)]; }
+  RowIndex Next(RowIndex row) const { return next_[row]; }
+  uint64_t HashOf(RowIndex row) const { return hashes_[row]; }
+
+ private:
+  // Fibonacci hashing: the bucket is the top bits of hash * 2^64/phi, so
+  // key hashes that share their low bits (keys in a stride) still spread
+  // over every bucket.
+  size_t Bucket(uint64_t hash) const {
+    return static_cast<size_t>((hash * 0x9E3779B97F4A7C15ULL) >> shift_);
+  }
+
+  std::vector<RowIndex> head_;
+  std::vector<RowIndex> next_;
+  std::vector<uint64_t> hashes_;
+  unsigned shift_;
+};
 
 }  // namespace
 
@@ -239,36 +339,11 @@ Result<Relation> Executor::ExecuteScan(const PlanPtr& plan,
           return Status::OK();
         }));
   } else {
-    // Prefer the vectorized kernel; fall back to the row-at-a-time
-    // interpreter for DOUBLE programs or NULL-bearing columns. Each
-    // morsel chooses independently (the NULL check is per column and
-    // cheap), and a fallback is no longer invisible: it bumps
-    // exec.scan.vectorized_fallback. The interpreter is compiled up
-    // front — a morsel must never hit a compile error mid-flight — but
-    // its compile status only matters if some morsel actually falls
-    // back, matching the serial engine's observable behavior.
-    auto vf = VectorizedFilter::Compile(plan->predicate());
-    auto interp = CompiledExpr::Compile(plan->predicate());
+    const MorselFilter filter(plan->predicate());
     std::vector<std::vector<RowIndex>> found(MorselCount(n));
-    SIA_RETURN_IF_ERROR(pool().ParallelFor(
-        n, kMorselRows, [&](size_t begin, size_t end) -> Status {
-          std::vector<RowIndex>& local = found[begin / kMorselRows];
-          if (vf.ok()) {
-            if (vf->FilterRange(*table, begin, end, &local).ok()) {
-              return Status::OK();
-            }
-            local.clear();
-            SIA_COUNTER_INC("exec.scan.vectorized_fallback");
-          }
-          if (!interp.ok()) return interp.status();
-          TableCursor row(*table);
-          for (size_t i = begin; i < end; ++i) {
-            row.set_row(i);
-            if (interp->EvalPredicate(row) == 1) {
-              local.push_back(static_cast<RowIndex>(i));
-            }
-          }
-          return Status::OK();
+    SIA_RETURN_IF_ERROR(
+        pool().ParallelFor(n, kMorselRows, [&](size_t begin, size_t end) {
+          return filter.Run(*table, begin, end, &found[begin / kMorselRows]);
         }));
     // Ordered concatenation: morsel boundaries are fixed, so this is
     // byte-identical to the single-threaded scan.
@@ -286,9 +361,7 @@ Result<Relation> Executor::ExecuteFilter(const PlanPtr& plan,
                                          ExecStats* stats) {
   SIA_ASSIGN_OR_RETURN(Relation rel, ExecuteNode(plan->child(), stats));
   SIA_TRACE_SPAN("exec.filter");  // opened after the child so spans nest
-  SIA_ASSIGN_OR_RETURN(CompiledExpr pred,
-                       CompiledExpr::Compile(plan->predicate()));
-  SIA_RETURN_IF_ERROR(FilterRelation(&rel, pred, pool()));
+  SIA_RETURN_IF_ERROR(FilterRelation(&rel, plan->predicate(), pool()));
   return rel;
 }
 
@@ -300,8 +373,12 @@ Result<Relation> Executor::ExecuteJoin(const PlanPtr& plan,
 
   const size_t left_width = plan->child(0)->output_schema().size();
 
-  // Split the join predicate into equi-key pairs and residual conjuncts.
-  std::vector<std::pair<size_t, size_t>> keys;  // (left col, right col)
+  // Split the join predicate into equi-key column pairs and residual
+  // conjuncts. Keys are hashed and compared as int64, so an equality over
+  // a DOUBLE column stays a residual.
+  const Schema& schema = plan->output_schema();
+  std::vector<size_t> left_keys;
+  std::vector<size_t> right_keys;  // relative to the right input
   std::vector<ExprPtr> residual;
   if (plan->predicate() != nullptr) {
     for (const ExprPtr& c : SplitConjuncts(plan->predicate())) {
@@ -310,13 +387,14 @@ Result<Relation> Executor::ExecuteJoin(const PlanPtr& plan,
           c->compare_op() == CompareOp::kEq &&
           c->left()->kind() == ExprKind::kColumnRef &&
           c->right()->kind() == ExprKind::kColumnRef) {
-        const size_t a = c->left()->index();
-        const size_t b = c->right()->index();
-        if (a < left_width && b >= left_width) {
-          keys.emplace_back(a, b - left_width);
-          is_key = true;
-        } else if (b < left_width && a >= left_width) {
-          keys.emplace_back(b, a - left_width);
+        size_t a = c->left()->index();
+        size_t b = c->right()->index();
+        if (b < left_width && a >= left_width) std::swap(a, b);
+        if (a < left_width && b >= left_width &&
+            schema.column(a).type != DataType::kDouble &&
+            schema.column(b).type != DataType::kDouble) {
+          left_keys.push_back(a);
+          right_keys.push_back(b - left_width);
           is_key = true;
         }
       }
@@ -339,55 +417,30 @@ Result<Relation> Executor::ExecuteJoin(const PlanPtr& plan,
 
   const size_t lparts = left.parts.size();
 
-  if (!keys.empty()) {
+  if (!left_keys.empty()) {
     // Hash join: serial build on the right input, morsel-parallel probe
-    // over the left. The build table is read-only during the probe
-    // (equal_range on a const multimap), so workers share it freely.
-    RelationRow rrow(right);
-    std::unordered_multimap<uint64_t, RowIndex> build;
-    build.reserve(right.row_count() * 2);
-    auto key_hash = [&](const RelationRow& row, bool is_left) -> uint64_t {
-      uint64_t h = 0x12345678ULL;
-      for (const auto& [lc, rc] : keys) {
-        const size_t col = is_left ? lc : rc;
-        if (row.IsNull(col)) return UINT64_MAX;  // NULL never matches
-        h = MixHash(h, static_cast<uint64_t>(row.IntAt(col)));
-      }
-      return h;
-    };
-    for (size_t i = 0; i < right.row_count(); ++i) {
-      rrow.set_row(i);
-      const uint64_t h = key_hash(rrow, false);
-      if (h != UINT64_MAX) build.emplace(h, static_cast<RowIndex>(i));
-    }
+    // over the left.
+    const JoinKeys build_keys(right, right_keys);
+    const JoinKeys probe_keys(left, left_keys);
+    const JoinTable table(build_keys, right.row_count());
     // Each probe morsel collects (left row, right row) matches locally;
     // within a morsel the order is the serial probe order (left rows
-    // ascending, bucket order per row), so the ordered concatenation
+    // ascending, chain order per row), so the ordered concatenation
     // below reproduces the serial join byte for byte.
     const size_t ln = left.row_count();
     std::vector<std::vector<std::pair<RowIndex, RowIndex>>> matches(
         MorselCount(ln));
     SIA_RETURN_IF_ERROR(
         pool().ParallelFor(ln, kMorselRows, [&](size_t begin, size_t end) {
-          RelationRow lcur(left);
-          RelationRow rcur(right);
           auto& local = matches[begin / kMorselRows];
           for (size_t i = begin; i < end; ++i) {
-            lcur.set_row(i);
-            const uint64_t h = key_hash(lcur, true);
-            if (h == UINT64_MAX) continue;
-            auto [bucket, bucket_end] = build.equal_range(h);
-            for (auto it = bucket; it != bucket_end; ++it) {
-              rcur.set_row(it->second);
-              bool equal = true;
-              for (const auto& [lc, rc] : keys) {
-                if (lcur.IntAt(lc) != rcur.IntAt(rc)) {
-                  equal = false;
-                  break;
-                }
+            uint64_t h;
+            if (!probe_keys.Hash(i, &h)) continue;  // NULL never matches
+            for (RowIndex r = table.First(h); r != JoinTable::kEnd;
+                 r = table.Next(r)) {
+              if (table.HashOf(r) == h && probe_keys.Equal(i, build_keys, r)) {
+                local.emplace_back(static_cast<RowIndex>(i), r);
               }
-              if (equal) local.emplace_back(static_cast<RowIndex>(i),
-                                            it->second);
             }
           }
           return Status::OK();
@@ -431,10 +484,8 @@ Result<Relation> Executor::ExecuteJoin(const PlanPtr& plan,
   }
 
   if (!residual.empty()) {
-    SIA_ASSIGN_OR_RETURN(
-        CompiledExpr pred,
-        CompiledExpr::Compile(CombineConjuncts(residual)));
-    SIA_RETURN_IF_ERROR(FilterRelation(&out, pred, pool()));
+    SIA_RETURN_IF_ERROR(
+        FilterRelation(&out, CombineConjuncts(residual), pool()));
   }
   stats->join_output_rows += out.row_count();
   return out;

@@ -35,7 +35,7 @@ struct VSlot {
 
 // Applies `f` elementwise over l and r, writing into l (which becomes an
 // owned slot backed by `scratch`). Specialized loops keep the hot cases
-// (vector-vector, vector-const) branch-free and auto-vectorizable.
+// (vector-vector, vector-const) free of per-element branches.
 template <typename F>
 void BinaryKernel(VSlot& l, const VSlot& r, size_t n,
                   std::vector<int64_t>* scratch, F f) {
@@ -89,35 +89,31 @@ Result<VectorizedFilter> VectorizedFilter::Compile(const ExprPtr& expr) {
         break;
     }
     out.max_stack_ = std::max(out.max_stack_, depth);
-    out.ops_.push_back(VOp{static_cast<uint8_t>(op.code), op.col, op.ival});
+    VOp vop{static_cast<uint8_t>(op.code), 0, op.ival};
+    if (op.code == OpCode::kLoadInt) {
+      auto& cols = out.loaded_cols_;
+      vop.col = static_cast<uint32_t>(
+          std::find(cols.begin(), cols.end(), op.col) - cols.begin());
+      if (vop.col == cols.size()) cols.push_back(op.col);
+    }
+    out.ops_.push_back(vop);
   }
   return out;
 }
 
-Status VectorizedFilter::FilterTable(const Table& table,
-                                     std::vector<uint32_t>* out) const {
-  return FilterRange(table, 0, table.row_count(), out);
-}
-
-Status VectorizedFilter::FilterRange(const Table& table, size_t begin_row,
-                                     size_t end_row,
-                                     std::vector<uint32_t>* out) const {
-  // NULL-bearing columns fall back (checked once, not per row).
-  for (const VOp& op : ops_) {
-    if (static_cast<OpCode>(op.code) == OpCode::kLoadInt &&
-        table.column(op.col).has_nulls()) {
-      return Status::Unsupported("column has NULLs; use CompiledExpr");
-    }
-  }
-
+template <typename Loader>
+Status VectorizedFilter::FilterBlocks(size_t begin_row, size_t end_row,
+                                      Loader&& load,
+                                      std::vector<uint32_t>* out) const {
   // One scratch buffer per stack level, reused across blocks.
   std::vector<std::vector<int64_t>> scratch(max_stack_ + 1);
   for (auto& s : scratch) s.resize(kBlock);
   std::vector<VSlot> stack(max_stack_ + 1);
 
-  const size_t rows = std::min(end_row, table.row_count());
-  for (size_t base = begin_row; base < rows; base += kBlock) {
-    const size_t n = std::min(kBlock, rows - base);
+  std::vector<const int64_t*> columns(loaded_cols_.size());
+  for (size_t base = begin_row; base < end_row; base += kBlock) {
+    const size_t n = std::min(kBlock, end_row - base);
+    for (size_t k = 0; k < columns.size(); ++k) columns[k] = load(k, base, n);
     size_t sp = 0;
     for (const VOp& vop : ops_) {
       const OpCode code = static_cast<OpCode>(vop.code);
@@ -125,7 +121,7 @@ Status VectorizedFilter::FilterRange(const Table& table, size_t begin_row,
         case OpCode::kLoadInt: {
           VSlot& s = stack[sp];
           s.kind = VSlot::kView;
-          s.view = table.column(vop.col).ints().data() + base;
+          s.view = columns[vop.col];
           s.buf = &scratch[sp];
           ++sp;
           break;
@@ -229,6 +225,59 @@ Status VectorizedFilter::FilterRange(const Table& table, size_t begin_row,
     }
   }
   return Status::OK();
+}
+
+Status VectorizedFilter::FilterTable(const Table& table,
+                                     std::vector<uint32_t>* out) const {
+  return FilterRange(table, 0, table.row_count(), out);
+}
+
+Status VectorizedFilter::FilterRange(const Table& table, size_t begin_row,
+                                     size_t end_row,
+                                     std::vector<uint32_t>* out) const {
+  // NULL-bearing columns fall back (checked once, not per row).
+  for (const uint32_t col : loaded_cols_) {
+    if (table.column(col).has_nulls()) {
+      return Status::Unsupported("column has NULLs; use CompiledExpr");
+    }
+  }
+  // Zero-copy: a base column is already a contiguous int64 array.
+  return FilterBlocks(
+      begin_row, std::min(end_row, table.row_count()),
+      [&](size_t k, size_t base, size_t) {
+        return table.column(loaded_cols_[k]).ints().data() + base;
+      },
+      out);
+}
+
+Status VectorizedFilter::FilterRange(const Relation& rel, size_t begin_row,
+                                     size_t end_row,
+                                     std::vector<uint32_t>* out) const {
+  // Resolve each loaded column to its base column and row-index vector.
+  std::vector<const int64_t*> values(loaded_cols_.size());
+  std::vector<const RowIndex*> rows(loaded_cols_.size());
+  for (size_t k = 0; k < loaded_cols_.size(); ++k) {
+    const auto [part, local] = rel.Resolve(loaded_cols_[k]);
+    const ColumnData& column = rel.parts[part]->column(local);
+    if (column.has_nulls()) {
+      return Status::Unsupported("column has NULLs; use CompiledExpr");
+    }
+    values[k] = column.ints().data();
+    rows[k] = rel.rows[part].data();
+  }
+  // Gather each loaded column once per block into its own buffer.
+  std::vector<std::vector<int64_t>> gathered(loaded_cols_.size(),
+                                             std::vector<int64_t>(kBlock));
+  return FilterBlocks(
+      begin_row, std::min(end_row, rel.row_count()),
+      [&](size_t k, size_t base, size_t n) -> const int64_t* {
+        const int64_t* src = values[k];
+        const RowIndex* at = rows[k] + base;
+        int64_t* dst = gathered[k].data();
+        for (size_t i = 0; i < n; ++i) dst[i] = src[at[i]];
+        return dst;
+      },
+      out);
 }
 
 }  // namespace sia

@@ -1,8 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <cinttypes>
+#include <cstdio>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "catalog/catalog.h"
 #include "common/date.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "engine/column_table.h"
 #include "engine/exec_expr.h"
 #include "engine/executor.h"
@@ -14,6 +21,7 @@
 #include "ir/evaluator.h"
 #include "parser/parser.h"
 #include "rewrite/planner.h"
+#include "workload/querygen.h"
 
 namespace sia {
 namespace {
@@ -289,6 +297,189 @@ TEST_F(ExecutorTest, SelectivityMeasurement) {
   EXPECT_EQ(sel->sampled_rows, data_.lineitem.row_count());  // exact scan
   EXPECT_GT(sel->selectivity, 0.3);
   EXPECT_LT(sel->selectivity, 0.7);  // midpoint of the 1992-1998 range
+}
+
+// --- Golden engine output ------------------------------------------------------
+
+// (row_count, content_hash, order_hash) for a fixed set of queries, pinned
+// from the row-at-a-time engine (node-based multimap join, interpreted
+// residual filter) before the join became block-at-a-time. Any change to
+// the scan, filter or join implementation must reproduce these exactly,
+// at every thread count: order_hash is order-sensitive, so this also pins
+// the join's match order.
+struct Golden {
+  size_t rows;
+  uint64_t content_hash;
+  uint64_t order_hash;
+};
+
+void ExpectGolden(const std::vector<std::string>& sqls,
+                  const std::vector<Golden>& golden, const Catalog& catalog,
+                  const std::vector<std::pair<std::string, const Table*>>& tables) {
+  ASSERT_EQ(sqls.size(), golden.size());
+  for (const size_t threads : {size_t{1}, size_t{4}}) {
+    ThreadPool pool(threads);
+    Executor executor;
+    executor.set_thread_pool(&pool);
+    for (const auto& [name, table] : tables) executor.RegisterTable(name, table);
+    for (size_t q = 0; q < sqls.size(); ++q) {
+      auto out = RunSql(sqls[q], catalog, executor);
+      ASSERT_TRUE(out.ok()) << sqls[q] << ": " << out.status().ToString();
+      const Golden& want = golden[q];
+      const bool same = out->row_count == want.rows &&
+                        out->content_hash == want.content_hash &&
+                        out->order_hash == want.order_hash;
+      char got[96];
+      std::snprintf(got, sizeof(got), "{%zu, 0x%016" PRIx64 "ULL, 0x%016" PRIx64 "ULL}",
+                    out->row_count, out->content_hash, out->order_hash);
+      EXPECT_TRUE(same) << "query " << q << " @" << threads
+                        << " threads: got " << got << " for " << sqls[q];
+    }
+  }
+}
+
+const TpchData& GoldenTpch() {
+  static const TpchData data = GenerateTpch(0.01);
+  return data;
+}
+
+std::vector<std::pair<std::string, const Table*>> GoldenTpchTables() {
+  return {{"lineitem", &GoldenTpch().lineitem},
+          {"orders", &GoldenTpch().orders}};
+}
+
+// The first 15 seed-2021 workload queries: the serving benchmark's
+// templates, every one `lineitem JOIN orders` with cross-table residuals.
+TEST(EngineGoldenTest, WorkloadTemplates) {
+  const Catalog catalog = Catalog::TpchCatalog();
+  QueryGenOptions options;
+  options.seed = 2021;
+  auto generated = GenerateWorkload(catalog, 15, options);
+  ASSERT_TRUE(generated.ok()) << generated.status().ToString();
+  std::vector<std::string> sqls;
+  for (const GeneratedQuery& q : *generated) sqls.push_back(q.sql);
+  const std::vector<Golden> golden = {
+      {26258, 0xc0b44a815a9ec2a8ULL, 0x3c4d9dbab1f74767ULL},
+      {0, 0x0000000000000000ULL, 0x14650fb0739d0383ULL},
+      {0, 0x0000000000000000ULL, 0x14650fb0739d0383ULL},
+      {0, 0x0000000000000000ULL, 0x14650fb0739d0383ULL},
+      {0, 0x0000000000000000ULL, 0x14650fb0739d0383ULL},
+      {0, 0x0000000000000000ULL, 0x14650fb0739d0383ULL},
+      {54755, 0x0fb4849870775f59ULL, 0xb9872b1946535b23ULL},
+      {0, 0x0000000000000000ULL, 0x14650fb0739d0383ULL},
+      {2019, 0x7e2d6176e1efb99cULL, 0x7b8b091a3c2ed3bbULL},
+      {0, 0x0000000000000000ULL, 0x14650fb0739d0383ULL},
+      {0, 0x0000000000000000ULL, 0x14650fb0739d0383ULL},
+      {0, 0x0000000000000000ULL, 0x14650fb0739d0383ULL},
+      {0, 0x0000000000000000ULL, 0x14650fb0739d0383ULL},
+      {0, 0x0000000000000000ULL, 0x14650fb0739d0383ULL},
+      {0, 0x0000000000000000ULL, 0x14650fb0739d0383ULL},
+  };
+  ExpectGolden(sqls, golden, catalog, GoldenTpchTables());
+}
+
+// `orders, lineitem` puts lineitem on the build side, so every probe
+// walks a chain of duplicate keys.
+TEST(EngineGoldenTest, DuplicateBuildKeys) {
+  const std::vector<std::string> sqls = {
+      "SELECT * FROM orders, lineitem WHERE o_orderkey = l_orderkey",
+      "SELECT * FROM orders, lineitem WHERE o_orderkey = l_orderkey "
+      "AND l_shipdate - o_orderdate < 30 "
+      "AND l_receiptdate - l_commitdate > o_orderdate - l_shipdate + 40",
+  };
+  const std::vector<Golden> golden = {
+      {59758, 0x1407304029290564ULL, 0x4d8b3c6b7ae9f0e9ULL},
+      {135, 0x88dfaa23baa4a69dULL, 0xaed8e851af30988bULL},
+  };
+  ExpectGolden(sqls, golden, Catalog::TpchCatalog(), GoldenTpchTables());
+}
+
+// NULL join keys on both sides never match; duplicates still do. The
+// residual reads a nullable column, so it takes the interpreter path.
+TEST(EngineGoldenTest, NullJoinKeys) {
+  Schema a;
+  a.AddColumn({"a", "ak", DataType::kInteger, true});
+  a.AddColumn({"a", "av", DataType::kInteger, false});
+  Schema b;
+  b.AddColumn({"b", "bk", DataType::kInteger, true});
+  b.AddColumn({"b", "bv", DataType::kInteger, true});
+  Catalog catalog;
+  catalog.RegisterTable("a", a);
+  catalog.RegisterTable("b", b);
+  const Value null = Value::Null(DataType::kInteger);
+  auto i = [](int64_t v) { return Value::Integer(v); };
+  Table ta(a);
+  for (const Tuple& row :
+       {Tuple({i(1), i(10)}), Tuple({null, i(11)}), Tuple({i(2), i(12)}),
+        Tuple({i(1), i(13)}), Tuple({null, i(14)}), Tuple({i(3), i(15)})}) {
+    ASSERT_TRUE(ta.AppendRow(row).ok());
+  }
+  Table tb(b);
+  for (const Tuple& row :
+       {Tuple({i(1), i(100)}), Tuple({null, i(101)}), Tuple({i(1), null}),
+        Tuple({i(2), i(103)}), Tuple({null, null}), Tuple({i(4), i(105)}),
+        Tuple({i(1), i(106)})}) {
+    ASSERT_TRUE(tb.AppendRow(row).ok());
+  }
+  const std::vector<std::string> sqls = {
+      "SELECT * FROM a, b WHERE ak = bk",
+      "SELECT * FROM a, b WHERE ak = bk AND av + bv > 112",
+  };
+  const std::vector<Golden> golden = {
+      {7, 0xb5b8950793533343ULL, 0x9a0268b7c10e73e0ULL},
+      {4, 0xb0fbc2b35121591dULL, 0x218bc87679346d3aULL},
+  };
+  ExpectGolden(sqls, golden, catalog, {{"a", &ta}, {"b", &tb}});
+}
+
+// A non-NULL key whose hash is all ones must still join. The key below is
+// chosen so that the join-key hash of its single column is UINT64_MAX,
+// which an in-band "NULL key" sentinel would silently drop on both sides.
+TEST(EngineJoinTest, KeyHashingToAllOnesStillMatches) {
+  constexpr int64_t kKey = 7046029234457704916;
+  Schema l;
+  l.AddColumn({"l", "lk", DataType::kInteger, false});
+  Schema r;
+  r.AddColumn({"r", "rk", DataType::kInteger, false});
+  Catalog catalog;
+  catalog.RegisterTable("l", l);
+  catalog.RegisterTable("r", r);
+  Table tl(l);
+  tl.AppendIntRow({kKey});
+  Table tr(r);
+  tr.AppendIntRow({kKey});
+  Executor executor;
+  executor.RegisterTable("l", &tl);
+  executor.RegisterTable("r", &tr);
+  auto out = RunSql("SELECT * FROM l, r WHERE lk = rk", catalog, executor);
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  EXPECT_EQ(out->row_count, 1u);
+}
+
+// Join keys are hashed as int64, so an equality between DOUBLE columns
+// must not become a hash key; it is evaluated as a residual instead.
+TEST(EngineJoinTest, DoubleEqualityJoinsAsResidual) {
+  Schema l;
+  l.AddColumn({"l", "lx", DataType::kDouble, false});
+  Schema r;
+  r.AddColumn({"r", "rx", DataType::kDouble, false});
+  Catalog catalog;
+  catalog.RegisterTable("l", l);
+  catalog.RegisterTable("r", r);
+  Table tl(l);
+  Table tr(r);
+  for (const double v : {0.5, 1.5, 2.5, 1.5}) {
+    ASSERT_TRUE(tl.AppendRow(Tuple({Value::Double(v)})).ok());
+  }
+  for (const double v : {1.5, 3.5, 0.5}) {
+    ASSERT_TRUE(tr.AppendRow(Tuple({Value::Double(v)})).ok());
+  }
+  Executor executor;
+  executor.RegisterTable("l", &tl);
+  executor.RegisterTable("r", &tr);
+  auto out = RunSql("SELECT * FROM l, r WHERE lx = rx", catalog, executor);
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  EXPECT_EQ(out->row_count, 3u);  // 0.5 once, 1.5 twice
 }
 
 }  // namespace

@@ -217,6 +217,15 @@ TEST(MorselParallelTest, JoinWithResidualFilterIsThreadCountInvariant) {
       "AND l_commitdate - l_shipdate < l_shipdate - o_orderdate + 10");
 }
 
+TEST(MorselParallelTest, DuplicateKeyBuildWithResidualIsThreadCountInvariant) {
+  // `orders, lineitem` builds on lineitem: every probe walks a chain of
+  // duplicate keys, and the residual filters the joined rows.
+  ExpectSameAtAllThreadCounts(
+      "SELECT * FROM orders, lineitem WHERE o_orderkey = l_orderkey "
+      "AND l_shipdate - o_orderdate < 60 "
+      "AND l_receiptdate - l_commitdate > o_orderdate - l_shipdate + 40");
+}
+
 // --- The vectorized-fallback counter ----------------------------------------
 
 TEST(ScanFallbackCounterTest, PureIntegralScanNeverFallsBack) {
@@ -257,6 +266,46 @@ TEST(ScanFallbackCounterTest, NullableColumnScanCountsFallbacks) {
   ASSERT_TRUE(out.ok()) << out.status().ToString();
   // NULL < 50 is NULL, i.e. not TRUE: rows 1..49 pass except the four
   // nulled multiples of ten (10, 20, 30, 40) — and row 0 is null too.
+  EXPECT_EQ(out->row_count, 45u);
+  EXPECT_GT(obs::MetricsRegistry::Instance()
+                .GetCounter("exec.scan.vectorized_fallback")
+                .Value(),
+            0u);
+  obs::MetricsRegistry::SetEnabled(false);
+}
+
+TEST(ScanFallbackCounterTest, NullableJoinResidualCountsFallbacks) {
+  obs::MetricsRegistry::SetEnabled(true);
+  obs::MetricsRegistry::Instance().ResetAll();
+
+  Schema p;
+  p.AddColumn({"p", "pk", DataType::kInteger, false});
+  p.AddColumn({"p", "pv", DataType::kInteger, true});
+  Schema q;
+  q.AddColumn({"q", "qk", DataType::kInteger, false});
+  q.AddColumn({"q", "qv", DataType::kInteger, false});
+  Catalog catalog;
+  catalog.RegisterTable("p", p);
+  catalog.RegisterTable("q", q);
+  Table tp(p);
+  Table tq(q);
+  for (int64_t i = 0; i < 100; ++i) {
+    const Tuple row({Value::Integer(i), i % 10 == 0
+                                            ? Value::Null(DataType::kInteger)
+                                            : Value::Integer(i)});
+    ASSERT_TRUE(tp.AppendRow(row).ok());
+    tq.AppendIntRow({i, 50});
+  }
+
+  Executor executor;
+  executor.RegisterTable("p", &tp);
+  executor.RegisterTable("q", &tq);
+  // The residual pv < qv spans both tables, so it runs on the joined rows,
+  // and pv's NULLs send it to the row interpreter.
+  auto out = RunSql("SELECT * FROM p, q WHERE pk = qk AND pv < qv", catalog,
+                    executor);
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  // pv < 50 holds for 1..49 except the nulled multiples of ten.
   EXPECT_EQ(out->row_count, 45u);
   EXPECT_GT(obs::MetricsRegistry::Instance()
                 .GetCounter("exec.scan.vectorized_fallback")

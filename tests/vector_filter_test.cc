@@ -1,9 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "common/rng.h"
 #include "engine/column_table.h"
 #include "engine/cursors.h"
 #include "engine/exec_expr.h"
+#include "engine/relation.h"
 #include "engine/vector_filter.h"
 #include "ir/binder.h"
 #include "ir/builder.h"
@@ -104,20 +110,15 @@ TEST(VectorFilterTest, FallbackOnNullColumn) {
   EXPECT_FALSE(vf->FilterTable(table, &out).ok());
 }
 
-// Property sweep: random integral predicates agree with CompiledExpr on
-// random tables, across block-boundary row counts.
-class VectorFilterPropertyTest : public ::testing::TestWithParam<size_t> {};
-
-TEST_P(VectorFilterPropertyTest, AgreesWithRowInterpreter) {
-  const size_t rows = GetParam();
-  Schema s = ThreeIntCols();
-  Table table = RandomTable(s, rows, 40 + rows);
-
-  Rng rng(1000 + rows);
+// A random NULL-free integral predicate over `cols` (table, column).
+ExprPtr RandomPredicate(Rng& rng,
+                        const std::vector<std::pair<std::string, std::string>>& cols) {
   auto random_scalar = [&](auto&& self, int depth) -> ExprPtr {
     if (depth <= 0 || rng.Bernoulli(0.4)) {
       if (rng.Bernoulli(0.6)) {
-        return Expr::Column("t", std::string(1, "abc"[rng.Uniform(0, 2)]));
+        const auto& [table, column] =
+            cols[rng.Uniform(0, static_cast<int64_t>(cols.size()) - 1)];
+        return Expr::Column(table, column);
       }
       return Expr::IntLit(rng.Uniform(-30, 30));
     }
@@ -135,14 +136,100 @@ TEST_P(VectorFilterPropertyTest, AgreesWithRowInterpreter) {
     return Expr::Logic(rng.Bernoulli(0.5) ? LogicOp::kAnd : LogicOp::kOr,
                        self(self, depth - 1), self(self, depth - 1));
   };
+  return random_pred(random_pred, 3);
+}
 
+// Row-at-a-time access to a Relation, resolved per cell: the reference
+// the relation-source block path is checked against.
+class RelationAccessor final : public RowAccessor {
+ public:
+  explicit RelationAccessor(const Relation& rel) : rel_(rel) {}
+  void set_row(size_t row) { row_ = row; }
+  int64_t IntAt(size_t col) const override { return Column(col).IntAt(At(col)); }
+  double DoubleAt(size_t col) const override {
+    return Column(col).DoubleAt(At(col));
+  }
+  bool IsNull(size_t col) const override { return Column(col).IsNull(At(col)); }
+
+ private:
+  const ColumnData& Column(size_t col) const {
+    const auto [part, local] = rel_.Resolve(col);
+    return rel_.parts[part]->column(local);
+  }
+  size_t At(size_t col) const { return rel_.rows[rel_.Resolve(col).first][row_]; }
+
+  const Relation& rel_;
+  size_t row_ = 0;
+};
+
+// Property sweep: random integral predicates agree with CompiledExpr on
+// random tables, across block-boundary row counts.
+class VectorFilterPropertyTest : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(VectorFilterPropertyTest, AgreesWithRowInterpreter) {
+  const size_t rows = GetParam();
+  Schema s = ThreeIntCols();
+  Table table = RandomTable(s, rows, 40 + rows);
+
+  Rng rng(1000 + rows);
   for (int trial = 0; trial < 40; ++trial) {
-    ExprPtr p = Bind(random_pred(random_pred, 3), s).value();
+    ExprPtr p = Bind(RandomPredicate(rng, {{"t", "a"}, {"t", "b"}, {"t", "c"}}),
+                     s)
+                    .value();
     auto vf = VectorizedFilter::Compile(p);
     ASSERT_TRUE(vf.ok()) << p->ToString();
     std::vector<uint32_t> got;
     ASSERT_TRUE(vf->FilterTable(table, &got).ok());
     EXPECT_EQ(got, ReferenceFilter(table, p)) << p->ToString();
+  }
+}
+
+// The relation source: the same programs over a joined Relation (two
+// base tables, rows picked with repeats and in no particular order, as a
+// join emits them), filtered piecewise at split points aligned neither to
+// the 2048-row block nor to the engine's 16K-row morsel.
+TEST_P(VectorFilterPropertyTest, RelationSourceAgreesWithRowInterpreter) {
+  const size_t rows = GetParam();
+  const Schema left_schema = ThreeIntCols();
+  Schema right_schema;
+  right_schema.AddColumn({"u", "d", DataType::kInteger, false});
+  right_schema.AddColumn({"u", "e", DataType::kInteger, false});
+  const Table left = RandomTable(left_schema, 300, 7 + rows);
+  const Table right = RandomTable(right_schema, 200, 9 + rows);
+  Schema joint = left_schema;
+  for (const ColumnDef& c : right_schema.columns()) joint.AddColumn(c);
+
+  Rng rng(2000 + rows);
+  Relation rel;
+  rel.parts = {&left, &right};
+  rel.rows.resize(2);
+  for (size_t i = 0; i < rows; ++i) {
+    rel.rows[0].push_back(static_cast<RowIndex>(rng.Uniform(0, 299)));
+    rel.rows[1].push_back(static_cast<RowIndex>(rng.Uniform(0, 199)));
+  }
+
+  for (int trial = 0; trial < 40; ++trial) {
+    ExprPtr p = Bind(RandomPredicate(rng, {{"t", "a"}, {"t", "b"}, {"t", "c"},
+                                           {"u", "d"}, {"u", "e"}}),
+                     joint)
+                    .value();
+    const CompiledExpr compiled = CompiledExpr::Compile(p).value();
+    RelationAccessor row(rel);
+    std::vector<uint32_t> want;
+    for (size_t i = 0; i < rows; ++i) {
+      row.set_row(i);
+      if (compiled.EvalPredicate(row) == 1) want.push_back(static_cast<uint32_t>(i));
+    }
+
+    auto vf = VectorizedFilter::Compile(p);
+    ASSERT_TRUE(vf.ok()) << p->ToString();
+    std::vector<uint32_t> got;
+    for (size_t begin = 0; begin < rows;) {
+      const size_t end = std::min(rows, begin + 1 + rng.Uniform(0, 3000));
+      ASSERT_TRUE(vf->FilterRange(rel, begin, end, &got).ok());
+      begin = end;
+    }
+    EXPECT_EQ(got, want) << p->ToString();
   }
 }
 
