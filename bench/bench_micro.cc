@@ -1,13 +1,14 @@
 // Google-benchmark micro-suite for the building blocks: parser, binder,
-// compiled predicate evaluation, SVM training, SMT sample generation,
+// tree-walking predicate evaluation, SVM training, SMT sample generation,
 // verification, and the engine operators. These are the components whose
 // costs Table 3 aggregates; the micro numbers let regressions be
 // localized.
 #include <benchmark/benchmark.h>
 
+#include <cstdlib>
+
 #include "catalog/catalog.h"
 #include "common/rng.h"
-#include "engine/exec_expr.h"
 #include "ir/evaluator.h"
 #include "engine/executor.h"
 #include "engine/runner.h"
@@ -17,6 +18,7 @@
 #include "learn/learner.h"
 #include "learn/svm.h"
 #include "parser/parser.h"
+#include "rewrite/plan.h"
 #include "synth/sample_generator.h"
 #include "synth/synthesizer.h"
 #include "synth/verifier.h"
@@ -66,26 +68,6 @@ void BM_BindPredicate(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BindPredicate);
-
-void BM_CompiledPredicateEval(benchmark::State& state) {
-  const Schema s = Abc();
-  const ExprPtr p = MotivatingPredicate(s);
-  const CompiledExpr compiled = CompiledExpr::Compile(p).value();
-
-  class Row : public RowAccessor {
-   public:
-    int64_t v[3] = {-10, -20, -5};
-    int64_t IntAt(size_t c) const override { return v[c]; }
-    double DoubleAt(size_t) const override { return 0; }
-    bool IsNull(size_t) const override { return false; }
-  } row;
-
-  for (auto _ : state) {
-    row.v[0] = (row.v[0] + 7) % 100 - 50;
-    benchmark::DoNotOptimize(compiled.EvalPredicate(row));
-  }
-}
-BENCHMARK(BM_CompiledPredicateEval);
 
 void BM_TreeWalkingEval(benchmark::State& state) {
   const Schema s = Abc();
@@ -196,6 +178,41 @@ void BM_EngineScanFilterLarge(benchmark::State& state) {
                           static_cast<int64_t>(data.lineitem.row_count()));
 }
 BENCHMARK(BM_EngineScanFilterLarge)->Unit(benchmark::kMillisecond);
+
+// A scan whose predicate reads a NULL-bearing INTEGER column and has a
+// DOUBLE conjunct, over 600K rows with every tenth key NULL: the 3VL mask
+// and double-lane kernels on the scan path.
+void BM_EngineScanFilterNullable(benchmark::State& state) {
+  static const Table table = [] {
+    Schema s;
+    s.AddColumn({"t", "k", DataType::kInteger, true});
+    s.AddColumn({"t", "v", DataType::kDouble, false});
+    Table t(s);
+    Rng rng(5);
+    for (int64_t i = 0; i < 600000; ++i) {
+      const Tuple row({i % 10 == 0 ? Value::Null(DataType::kInteger)
+                                   : Value::Integer(rng.Uniform(0, 999)),
+                       Value::Double(
+                           static_cast<double>(rng.Uniform(0, 9999)) / 100)});
+      if (!t.AppendRow(row).ok()) std::abort();
+    }
+    return t;
+  }();
+  const ExprPtr pred =
+      Bind((Col("k") < Lit(500)) && (Col("v") * Lit(2) > Lit(50.5)),
+           table.schema())
+          .value();
+  const PlanPtr plan = PlanNode::Scan("t", table.schema(), pred);
+  Executor executor;
+  executor.RegisterTable("t", &table);
+  for (auto _ : state) {
+    auto out = executor.Execute(plan);
+    benchmark::DoNotOptimize(out);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(table.row_count()));
+}
+BENCHMARK(BM_EngineScanFilterNullable)->Unit(benchmark::kMillisecond);
 
 void BM_EngineHashJoin(benchmark::State& state) {
   const Catalog catalog = Catalog::TpchCatalog();

@@ -111,10 +111,8 @@ Result<std::vector<RuntimeRecord>> RunRuntimeExperiment(
 
     // Learned predicate selectivity on lineitem (lineitem occupies the
     // first columns of the joint schema, so indices line up).
-    SIA_ASSIGN_OR_RETURN(
-        SelectivityEstimate sel,
-        EstimateSelectivity(data.lineitem, outcome.learned, /*sample_size=*/0));
-    rec.selectivity = sel.selectivity;
+    SIA_ASSIGN_OR_RETURN(rec.selectivity,
+                         EstimateSelectivity(data.lineitem, outcome.learned));
     records.push_back(std::move(rec));
   }
   return records;

@@ -258,9 +258,28 @@ if [[ "${SERVE_SMOKE}" -eq 1 ]]; then
   SMOKE_DIR=$(mktemp -d)
   SERVE_PID=""
   TOP_PID=""
+  # Stops one smoke process and reaps it, so a failed smoke never leaves
+  # a draining sia_serve or a polling sia_top behind: SIGTERM, up to 15 s
+  # for a clean exit (a drain waits on busy workers with no bound of its
+  # own), then SIGKILL, then wait.
+  stop_smoke_process() {
+    local pid="$1"
+    [[ -n "${pid}" ]] || return 0
+    kill -TERM "${pid}" 2>/dev/null || true
+    for _ in $(seq 1 150); do
+      # A child that has exited but is not yet reaped still answers
+      # kill -0; ps reports it as a zombie (state Z).
+      local state
+      state=$(ps -o stat= -p "${pid}" 2>/dev/null) || break
+      [[ "${state}" == Z* ]] && break
+      sleep 0.1
+    done
+    kill -KILL "${pid}" 2>/dev/null || true
+    wait "${pid}" 2>/dev/null || true
+  }
   trap 'rm -f "${COMPILE_OK_SRC}" "${COMPILE_FAIL_SRC}";
-        [[ -n "${TOP_PID}" ]] && kill "${TOP_PID}" 2>/dev/null;
-        [[ -n "${SERVE_PID}" ]] && kill "${SERVE_PID}" 2>/dev/null;
+        stop_smoke_process "${TOP_PID}";
+        stop_smoke_process "${SERVE_PID}";
         rm -rf "${SMOKE_DIR}"' EXIT
 
   # --- Promotion lifecycle: background learning end to end --------------

@@ -16,6 +16,24 @@ void ColumnData::AppendNull() {
   nulls_.push_back(1);
 }
 
+void ColumnData::AppendGathered(const ColumnData& src, const uint32_t* rows,
+                                size_t n) {
+  const size_t before = size();
+  if (type_ == DataType::kDouble) {
+    doubles_.reserve(before + n);
+    for (size_t i = 0; i < n; ++i) doubles_.push_back(src.doubles_[rows[i]]);
+  } else {
+    ints_.reserve(before + n);
+    for (size_t i = 0; i < n; ++i) ints_.push_back(src.ints_[rows[i]]);
+  }
+  if (src.has_nulls()) {
+    EnsureNulls(before);
+    for (size_t i = 0; i < n; ++i) nulls_.push_back(src.nulls_[rows[i]]);
+  } else if (!nulls_.empty()) {
+    nulls_.resize(before + n, 0);
+  }
+}
+
 Value ColumnData::ValueAt(size_t row) const {
   if (IsNull(row)) return Value::Null(type_);
   switch (type_) {
@@ -39,6 +57,11 @@ Table::Table(Schema schema) : schema_(std::move(schema)) {
     columns_.emplace_back(c.type);
   }
 }
+
+Table::Table(Schema schema, std::vector<ColumnData> columns)
+    : schema_(std::move(schema)),
+      columns_(std::move(columns)),
+      row_count_(columns_.empty() ? 0 : columns_.front().size()) {}
 
 Status Table::AppendRow(const Tuple& row) {
   if (row.size() != columns_.size()) {

@@ -43,6 +43,12 @@ class ColumnData {
 
   const std::vector<int64_t>& ints() const { return ints_; }
   const std::vector<double>& doubles() const { return doubles_; }
+  // Per-row NULL flags (1 = NULL); empty when has_nulls() is false.
+  const std::vector<uint8_t>& nulls() const { return nulls_; }
+
+  // Appends cells rows[0..n) of `src`, a column of the same type, NULLs
+  // included.
+  void AppendGathered(const ColumnData& src, const uint32_t* rows, size_t n);
 
   Value ValueAt(size_t row) const;
 
@@ -60,6 +66,9 @@ class Table {
  public:
   Table() = default;
   explicit Table(Schema schema);
+  // A table over finished columns, one per schema column, all of equal
+  // length (operator outputs built column by column).
+  Table(Schema schema, std::vector<ColumnData> columns);
 
   const Schema& schema() const { return schema_; }
   size_t row_count() const { return row_count_; }

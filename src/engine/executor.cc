@@ -1,18 +1,15 @@
 #include "engine/executor.h"
 
 #include <algorithm>
-#include <limits>
+#include <cstring>
 #include <map>
 #include <memory>
-#include <type_traits>
 #include <utility>
 
 #include "check/plan_validator.h"
 #include "common/fault_injection.h"
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
-#include "engine/cursors.h"
-#include "engine/exec_expr.h"
 #include "engine/vector_filter.h"
 #include "ir/analysis.h"
 #include "obs/metrics.h"
@@ -21,39 +18,6 @@
 namespace sia {
 
 namespace {
-
-// RowAccessor over a Relation with a movable cursor.
-class RelationRow final : public RowAccessor {
- public:
-  explicit RelationRow(const Relation& rel) : rel_(rel) {
-    const size_t n = rel.column_count();
-    col_data_.reserve(n);
-    col_part_.reserve(n);
-    for (size_t c = 0; c < n; ++c) {
-      const auto [part, local] = rel.Resolve(c);
-      col_data_.push_back(&rel.parts[part]->column(local));
-      col_part_.push_back(part);
-    }
-  }
-
-  void set_row(size_t out_row) { row_ = out_row; }
-
-  int64_t IntAt(size_t col) const override {
-    return col_data_[col]->IntAt(rel_.rows[col_part_[col]][row_]);
-  }
-  double DoubleAt(size_t col) const override {
-    return col_data_[col]->DoubleAt(rel_.rows[col_part_[col]][row_]);
-  }
-  bool IsNull(size_t col) const override {
-    return col_data_[col]->IsNull(rel_.rows[col_part_[col]][row_]);
-  }
-
- private:
-  const Relation& rel_;
-  std::vector<const ColumnData*> col_data_;
-  std::vector<size_t> col_part_;
-  size_t row_ = 0;
-};
 
 // Rows per morsel for every parallel loop in the executor. A fixed row
 // count (multiple of the vectorized filter's 2048-row block, and never a
@@ -73,33 +37,133 @@ uint64_t MixHash(uint64_t h, uint64_t v) {
   return h;
 }
 
-uint64_t HashRow(const RelationRow& row, size_t columns,
-                 const std::vector<DataType>& types) {
-  uint64_t h = 1469598103934665603ULL;
-  for (size_t c = 0; c < columns; ++c) {
-    if (row.IsNull(c)) {
-      h = MixHash(h, 0xDEADBEEFULL);
-      continue;
+// The output digest's starting value and the cell folded in for a NULL.
+constexpr uint64_t kDigestSeed = 1469598103934665603ULL;
+constexpr uint64_t kNullCell = 0xDEADBEEFULL;
+
+// Folds relation rows [begin, end) into the output digests: `sum` adds
+// each row's hash, `ord` mixes them in order. A row's hash folds its
+// cells' 64 bits (a DOUBLE's IEEE bits) in column order; here the fold
+// runs column by column over 2048-row blocks, each column read through
+// its row-index vector, which gives every row the same hash a cell-by-
+// cell fold would.
+void DigestRows(const std::vector<RelationColumn>& columns, size_t begin,
+                size_t end, uint64_t* sum, uint64_t* ord) {
+  uint64_t hashes[kBlockRows];
+  for (size_t base = begin; base < end; base += kBlockRows) {
+    const size_t n = std::min(kBlockRows, end - base);
+    std::fill(hashes, hashes + n, kDigestSeed);
+    for (const RelationColumn& column : columns) {
+      const RowIndex* rows = column.rows + base;
+      const uint8_t* nulls =
+          column.data->has_nulls() ? column.data->nulls().data() : nullptr;
+      const auto fold = [&](auto bits_at) {
+        if (nulls == nullptr) {
+          for (size_t i = 0; i < n; ++i) {
+            hashes[i] = MixHash(hashes[i], bits_at(rows[i]));
+          }
+        } else {
+          for (size_t i = 0; i < n; ++i) {
+            hashes[i] = MixHash(hashes[i], nulls[rows[i]] != 0
+                                               ? kNullCell
+                                               : bits_at(rows[i]));
+          }
+        }
+      };
+      if (column.data->type() == DataType::kDouble) {
+        const double* values = column.data->doubles().data();
+        fold([values](RowIndex r) {
+          uint64_t bits;
+          std::memcpy(&bits, &values[r], sizeof(bits));
+          return bits;
+        });
+      } else {
+        const int64_t* values = column.data->ints().data();
+        fold([values](RowIndex r) { return static_cast<uint64_t>(values[r]); });
+      }
     }
-    uint64_t bits;
-    if (types[c] == DataType::kDouble) {
-      const double d = row.DoubleAt(c);
-      static_assert(sizeof(double) == sizeof(uint64_t));
-      __builtin_memcpy(&bits, &d, sizeof(bits));
-    } else {
-      bits = static_cast<uint64_t>(row.IntAt(c));
+    for (size_t i = 0; i < n; ++i) {
+      *sum += hashes[i];
+      *ord = MixHash(*ord, hashes[i]);
     }
-    h = MixHash(h, bits);
   }
-  return h;
 }
 
-std::vector<DataType> ConcatTypes(const Relation& rel) {
-  std::vector<DataType> types;
-  for (const Table* t : rel.parts) {
-    for (const ColumnDef& c : t->schema().columns()) types.push_back(c.type);
+// Every column of a relation, resolved once.
+std::vector<RelationColumn> AllColumns(const Relation& rel) {
+  std::vector<RelationColumn> columns;
+  for (size_t c = 0; c < rel.column_count(); ++c) {
+    columns.push_back(rel.Column(c));
   }
-  return types;
+  return columns;
+}
+
+// A relation over every row of a materialized operator output.
+Result<Relation> OwnedRelation(std::shared_ptr<Table> table,
+                               const std::string& what) {
+  SIA_RETURN_IF_ERROR(CheckRowIndexLimit(table->row_count(), what));
+  Relation out;
+  out.parts = {table.get()};
+  out.rows.resize(1);
+  out.rows[0].resize(table->row_count());
+  for (size_t i = 0; i < table->row_count(); ++i) {
+    out.rows[0][i] = static_cast<RowIndex>(i);
+  }
+  out.owned.push_back(std::move(table));
+  return out;
+}
+
+// One GROUP BY cell as an order-preserving code: (false, 0) for NULL,
+// which sorts before every value, else (true, code) where codes order as
+// the values do. Integral values flip the sign bit; a DOUBLE keeps its
+// IEEE bits (all flipped when negative, else the sign bit set), with
+// -0.0 folded into +0.0 so equal values share a group.
+using GroupCell = std::pair<bool, uint64_t>;
+constexpr uint64_t kSignBit = 1ULL << 63;
+
+GroupCell IntCell(int64_t v) {
+  return {true, static_cast<uint64_t>(v) ^ kSignBit};
+}
+
+GroupCell DoubleCell(double v) {
+  if (v == 0) v = 0;  // -0.0 == 0.0
+  uint64_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return {true, (bits & kSignBit) != 0 ? ~bits : bits | kSignBit};
+}
+
+void AppendGroupCell(const GroupCell& cell, ColumnData* column) {
+  if (!cell.first) {
+    column->AppendNull();
+  } else if (column->type() == DataType::kDouble) {
+    const uint64_t code = cell.second;
+    const uint64_t bits = (code & kSignBit) != 0 ? code & ~kSignBit : ~code;
+    double v;
+    std::memcpy(&v, &bits, sizeof(v));
+    column->AppendDouble(v);
+  } else {
+    column->AppendInt(static_cast<int64_t>(cell.second ^ kSignBit));
+  }
+}
+
+// Cells [base, base + n) of a relation column as group-key cells.
+void GatherGroupCells(const RelationColumn& column, size_t base, size_t n,
+                      GroupCell* out) {
+  const RowIndex* rows = column.rows + base;
+  const ColumnData& data = *column.data;
+  if (data.type() == DataType::kDouble) {
+    const double* values = data.doubles().data();
+    for (size_t i = 0; i < n; ++i) out[i] = DoubleCell(values[rows[i]]);
+  } else {
+    const int64_t* values = data.ints().data();
+    for (size_t i = 0; i < n; ++i) out[i] = IntCell(values[rows[i]]);
+  }
+  if (data.has_nulls()) {
+    const uint8_t* nulls = data.nulls().data();
+    for (size_t i = 0; i < n; ++i) {
+      if (nulls[rows[i]] != 0) out[i] = {false, 0};
+    }
+  }
 }
 
 // Per-morsel output sizes -> start offset of each morsel in the
@@ -114,51 +178,6 @@ size_t PrefixOffsets(const std::vector<Sized>& per_morsel,
   return offsets->back();
 }
 
-// The one morsel filter behind scan, filter and join residual. Each
-// morsel tries the vectorized block kernels first and falls back to the
-// row interpreter when they refuse it: a DOUBLE or division program
-// (refused for every morsel) or a NULL-bearing loaded column. A fallback
-// is never invisible: it bumps exec.scan.vectorized_fallback. The
-// interpreter is compiled up front — a morsel must never hit a compile
-// error mid-flight — but its compile status only matters if some morsel
-// actually falls back. Both programs are const and share no state, so
-// one MorselFilter serves every worker.
-class MorselFilter {
- public:
-  explicit MorselFilter(const ExprPtr& pred)
-      : vectorized_(VectorizedFilter::Compile(pred)),
-        interpreted_(CompiledExpr::Compile(pred)) {}
-
-  // Appends to `out` (empty on entry) the positions in [begin, end) of
-  // `source` — a base Table or a Relation — whose predicate is TRUE.
-  template <typename Source>
-  Status Run(const Source& source, size_t begin, size_t end,
-             std::vector<RowIndex>* out) const {
-    if (vectorized_.ok()) {
-      if (vectorized_->FilterRange(source, begin, end, out).ok()) {
-        return Status::OK();
-      }
-      out->clear();
-      SIA_COUNTER_INC("exec.scan.vectorized_fallback");
-    }
-    if (!interpreted_.ok()) return interpreted_.status();
-    using Cursor = std::conditional_t<std::is_same_v<Source, Table>,
-                                      TableCursor, RelationRow>;
-    Cursor row(source);
-    for (size_t i = begin; i < end; ++i) {
-      row.set_row(i);
-      if (interpreted_->EvalPredicate(row) == 1) {
-        out->push_back(static_cast<RowIndex>(i));
-      }
-    }
-    return Status::OK();
-  }
-
- private:
-  Result<VectorizedFilter> vectorized_;
-  Result<CompiledExpr> interpreted_;
-};
-
 // Filters a relation in place. Morsel-parallel: each morsel collects its
 // passing positions into a local vector, then the gather into the new
 // row-index vectors writes disjoint presized slots. Output order matches
@@ -168,11 +187,13 @@ class MorselFilter {
 Status FilterRelation(Relation* rel, const ExprPtr& pred, ThreadPool& pool) {
   const size_t n = rel->row_count();
   SIA_RETURN_IF_ERROR(CheckRowIndexLimit(n, "filter input"));
-  const MorselFilter filter(pred);
+  SIA_ASSIGN_OR_RETURN(const VectorizedFilter filter,
+                       VectorizedFilter::Compile(pred));
   std::vector<std::vector<RowIndex>> keep(MorselCount(n));
   SIA_RETURN_IF_ERROR(
       pool.ParallelFor(n, kMorselRows, [&](size_t begin, size_t end) {
-        return filter.Run(*rel, begin, end, &keep[begin / kMorselRows]);
+        return filter.FilterRange(*rel, begin, end,
+                                  &keep[begin / kMorselRows]);
       }));
   std::vector<size_t> offsets;
   const size_t total = PrefixOffsets(keep, &offsets);
@@ -199,17 +220,14 @@ Status FilterRelation(Relation* rel, const ExprPtr& pred, ThreadPool& pool) {
 class JoinKeys {
  public:
   JoinKeys(const Relation& rel, const std::vector<size_t>& cols) {
-    for (const size_t col : cols) {
-      const auto [part, local] = rel.Resolve(col);
-      cols_.push_back({&rel.parts[part]->column(local), rel.rows[part].data()});
-    }
+    for (const size_t col : cols) cols_.push_back(rel.Column(col));
   }
 
   // The key hash of relation row `row`; false when any key is NULL. The
   // NULL flag is out of band, so every 64-bit hash is a real key's.
   bool Hash(size_t row, uint64_t* hash) const {
     uint64_t h = 0x12345678ULL;
-    for (const KeyColumn& k : cols_) {
+    for (const RelationColumn& k : cols_) {
       const RowIndex r = k.rows[row];
       if (k.data->IsNull(r)) return false;
       h = MixHash(h, static_cast<uint64_t>(k.data->IntAt(r)));
@@ -221,8 +239,8 @@ class JoinKeys {
   // Whether row `row` here and row `other_row` of `other` hold equal keys.
   bool Equal(size_t row, const JoinKeys& other, size_t other_row) const {
     for (size_t k = 0; k < cols_.size(); ++k) {
-      const KeyColumn& a = cols_[k];
-      const KeyColumn& b = other.cols_[k];
+      const RelationColumn& a = cols_[k];
+      const RelationColumn& b = other.cols_[k];
       if (a.data->IntAt(a.rows[row]) != b.data->IntAt(b.rows[other_row])) {
         return false;
       }
@@ -231,11 +249,7 @@ class JoinKeys {
   }
 
  private:
-  struct KeyColumn {
-    const ColumnData* data;
-    const RowIndex* rows;
-  };
-  std::vector<KeyColumn> cols_;
+  std::vector<RelationColumn> cols_;
 };
 
 // Flat chained hash table over the build side: a power-of-two head[] of
@@ -339,11 +353,13 @@ Result<Relation> Executor::ExecuteScan(const PlanPtr& plan,
           return Status::OK();
         }));
   } else {
-    const MorselFilter filter(plan->predicate());
+    SIA_ASSIGN_OR_RETURN(const VectorizedFilter filter,
+                         VectorizedFilter::Compile(plan->predicate()));
     std::vector<std::vector<RowIndex>> found(MorselCount(n));
     SIA_RETURN_IF_ERROR(
         pool().ParallelFor(n, kMorselRows, [&](size_t begin, size_t end) {
-          return filter.Run(*table, begin, end, &found[begin / kMorselRows]);
+          return filter.FilterRange(*table, begin, end,
+                                    &found[begin / kMorselRows]);
         }));
     // Ordered concatenation: morsel boundaries are fixed, so this is
     // byte-identical to the single-threaded scan.
@@ -503,62 +519,52 @@ Result<Relation> Executor::ExecuteNode(const PlanPtr& plan,
     case PlanKind::kAggregate: {
       SIA_ASSIGN_OR_RETURN(Relation rel, ExecuteNode(plan->child(), stats));
       SIA_TRACE_SPAN("exec.aggregate");
-      RelationRow row(rel);
-      std::map<std::vector<int64_t>, int64_t> groups;
-      std::vector<int64_t> key(plan->columns().size());
-      for (size_t i = 0; i < rel.row_count(); ++i) {
-        row.set_row(i);
-        for (size_t k = 0; k < plan->columns().size(); ++k) {
-          const size_t c = plan->columns()[k];
-          key[k] = row.IsNull(c) ? INT64_MIN : row.IntAt(c);
+      // Group keys are gathered a block at a time; the ordered map emits
+      // groups in key order (NULL first).
+      std::vector<RelationColumn> keys;
+      for (const size_t c : plan->columns()) keys.push_back(rel.Column(c));
+      std::vector<std::vector<GroupCell>> cells(
+          keys.size(), std::vector<GroupCell>(kBlockRows));
+      std::map<std::vector<GroupCell>, int64_t> groups;
+      std::vector<GroupCell> key(keys.size());
+      for (size_t base = 0; base < rel.row_count(); base += kBlockRows) {
+        const size_t n = std::min(kBlockRows, rel.row_count() - base);
+        for (size_t k = 0; k < keys.size(); ++k) {
+          GatherGroupCells(keys[k], base, n, cells[k].data());
         }
-        ++groups[key];
+        for (size_t i = 0; i < n; ++i) {
+          for (size_t k = 0; k < keys.size(); ++k) key[k] = cells[k][i];
+          ++groups[key];
+        }
       }
       // Materialize the group table; the relation keeps it alive.
-      auto out_table = std::make_shared<Table>(plan->output_schema());
-      std::vector<int64_t> out_row(plan->output_schema().size());
+      const Schema& schema = plan->output_schema();
+      std::vector<ColumnData> columns;
+      for (const ColumnDef& c : schema.columns()) columns.emplace_back(c.type);
       for (const auto& [k, count] : groups) {
-        for (size_t i = 0; i < k.size(); ++i) out_row[i] = k[i];
-        out_row[k.size()] = count;
-        out_table->AppendIntRow(out_row);
+        for (size_t i = 0; i < k.size(); ++i) {
+          AppendGroupCell(k[i], &columns[i]);
+        }
+        columns[k.size()].AppendInt(count);
       }
-      SIA_RETURN_IF_ERROR(
-          CheckRowIndexLimit(out_table->row_count(), "aggregate output"));
-      Relation out;
-      out.owned.push_back(out_table);
-      out.parts = {out_table.get()};
-      out.rows.resize(1);
-      out.rows[0].resize(out_table->row_count());
-      for (size_t i = 0; i < out_table->row_count(); ++i) {
-        out.rows[0][i] = static_cast<RowIndex>(i);
-      }
-      return out;
+      return OwnedRelation(
+          std::make_shared<Table>(schema, std::move(columns)),
+          "aggregate output");
     }
     case PlanKind::kProject: {
       SIA_ASSIGN_OR_RETURN(Relation rel, ExecuteNode(plan->child(), stats));
       SIA_TRACE_SPAN("exec.project");
-      RelationRow row(rel);
-      auto out_table = std::make_shared<Table>(plan->output_schema());
-      const auto& cols = plan->columns();
-      std::vector<int64_t> out_row(cols.size());
-      for (size_t i = 0; i < rel.row_count(); ++i) {
-        row.set_row(i);
-        for (size_t c = 0; c < cols.size(); ++c) {
-          out_row[c] = row.IntAt(cols[c]);
-        }
-        out_table->AppendIntRow(out_row);
+      const Schema& schema = plan->output_schema();
+      std::vector<ColumnData> columns;
+      for (size_t c = 0; c < plan->columns().size(); ++c) {
+        const RelationColumn source = rel.Column(plan->columns()[c]);
+        columns.emplace_back(schema.column(c).type);
+        columns.back().AppendGathered(*source.data, source.rows,
+                                      rel.row_count());
       }
-      SIA_RETURN_IF_ERROR(
-          CheckRowIndexLimit(out_table->row_count(), "project output"));
-      Relation out;
-      out.owned.push_back(out_table);
-      out.parts = {out_table.get()};
-      out.rows.resize(1);
-      out.rows[0].resize(out_table->row_count());
-      for (size_t i = 0; i < out_table->row_count(); ++i) {
-        out.rows[0][i] = static_cast<RowIndex>(i);
-      }
-      return out;
+      return OwnedRelation(
+          std::make_shared<Table>(schema, std::move(columns)),
+          "project output");
     }
   }
   return Status::Internal("unreachable plan kind");
@@ -581,27 +587,21 @@ Result<QueryOutput> Executor::Execute(const PlanPtr& plan) {
   // the serial sum bit for bit. order_hash folds the per-morsel
   // order-sensitive digests in morsel order; morsel boundaries are
   // fixed, so it too is thread-count invariant.
-  const std::vector<DataType> types = ConcatTypes(rel);
+  const std::vector<RelationColumn> columns = AllColumns(rel);
   const size_t out_rows = rel.row_count();
   std::vector<uint64_t> sum_parts(MorselCount(out_rows), 0);
   std::vector<uint64_t> ord_parts(MorselCount(out_rows), 0);
   SIA_RETURN_IF_ERROR(
       pool().ParallelFor(out_rows, kMorselRows, [&](size_t begin, size_t end) {
-        RelationRow row(rel);
         uint64_t sum = 0;
-        uint64_t ord = 1469598103934665603ULL;
-        for (size_t i = begin; i < end; ++i) {
-          row.set_row(i);
-          const uint64_t h = HashRow(row, types.size(), types);
-          sum += h;
-          ord = MixHash(ord, h);
-        }
+        uint64_t ord = kDigestSeed;
+        DigestRows(columns, begin, end, &sum, &ord);
         sum_parts[begin / kMorselRows] = sum;
         ord_parts[begin / kMorselRows] = ord;
         return Status::OK();
       }));
   uint64_t hash = 0;
-  uint64_t order = 1469598103934665603ULL;
+  uint64_t order = kDigestSeed;
   for (size_t m = 0; m < sum_parts.size(); ++m) {
     hash += sum_parts[m];
     order = MixHash(order, ord_parts[m]);

@@ -28,4 +28,9 @@ std::pair<size_t, size_t> Relation::Resolve(size_t col) const {
   return {parts.size(), 0};  // out of range; caller validates
 }
 
+RelationColumn Relation::Column(size_t col) const {
+  const auto [part, local] = Resolve(col);
+  return {&parts[part]->column(local), rows[part].data()};
+}
+
 }  // namespace sia

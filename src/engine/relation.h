@@ -25,6 +25,18 @@ inline constexpr size_t kMaxRowIndex = UINT32_MAX;
 // row number into a RowIndex guards with this first.
 [[nodiscard]] Status CheckRowIndexLimit(size_t row_count, const std::string& what);
 
+// Rows per block for the column-at-a-time loops over a table or a
+// relation (the vectorized filter, output digests, aggregation): one
+// block's cells of a column stay cache-resident while every op reads them.
+inline constexpr size_t kBlockRows = 2048;
+
+// One column of a relation: its base column and the row-index vector
+// that maps relation rows onto it, so reading cell i is two loads.
+struct RelationColumn {
+  const ColumnData* data;
+  const RowIndex* rows;
+};
+
 // A (possibly multi-part) row view over base tables: the result of a scan
 // or a chain of joins is represented as aligned row-index vectors into
 // the participating base tables rather than a materialized copy. The
@@ -41,6 +53,8 @@ struct Relation {
   size_t column_count() const;
   // Resolves a concatenated column index to (part, local column).
   std::pair<size_t, size_t> Resolve(size_t col) const;
+  // Resolves a concatenated column index to its base column and rows.
+  RelationColumn Column(size_t col) const;
 };
 
 }  // namespace sia

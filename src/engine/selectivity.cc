@@ -1,45 +1,20 @@
 #include "engine/selectivity.h"
 
-#include <algorithm>
-#include <cmath>
+#include <vector>
 
-#include "engine/cursors.h"
-#include "engine/exec_expr.h"
+#include "engine/vector_filter.h"
 
 namespace sia {
 
-Result<SelectivityEstimate> EstimateSelectivity(const Table& table,
-                                                const ExprPtr& predicate,
-                                                size_t sample_size) {
-  SelectivityEstimate out;
-  const size_t rows = table.row_count();
-  if (rows == 0) return out;
-
-  SIA_ASSIGN_OR_RETURN(CompiledExpr pred, CompiledExpr::Compile(predicate));
-  TableCursor row(table);
-
-  // Systematic sampling: a fixed stride with a deterministic phase gives
-  // reproducible estimates and touches the table uniformly (the TPC-H
-  // generator emits rows in order-key order, so striding avoids the
-  // clustering bias a prefix sample would have).
-  const size_t n = (sample_size == 0) ? rows : std::min(sample_size, rows);
-  const size_t stride = rows / n;
-  size_t hits = 0;
-  size_t seen = 0;
-  for (size_t i = stride / 2; i < rows && seen < n; i += stride, ++seen) {
-    row.set_row(i);
-    hits += (pred.EvalPredicate(row) == 1);
-  }
-  if (seen == 0) return out;
-  out.sampled_rows = seen;
-  out.selectivity = static_cast<double>(hits) / static_cast<double>(seen);
-  // Binomial 95% CI half-width; zero when the scan was exhaustive.
-  if (seen < rows) {
-    out.error_bound = 1.96 * std::sqrt(out.selectivity *
-                                       (1 - out.selectivity) /
-                                       static_cast<double>(seen));
-  }
-  return out;
+Result<double> EstimateSelectivity(const Table& table,
+                                   const ExprPtr& predicate) {
+  if (table.row_count() == 0) return 0.0;
+  SIA_ASSIGN_OR_RETURN(const VectorizedFilter filter,
+                       VectorizedFilter::Compile(predicate));
+  std::vector<uint32_t> rows;
+  SIA_RETURN_IF_ERROR(filter.FilterTable(table, &rows));
+  return static_cast<double>(rows.size()) /
+         static_cast<double>(table.row_count());
 }
 
 }  // namespace sia

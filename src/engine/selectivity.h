@@ -1,35 +1,20 @@
 #ifndef SIA_ENGINE_SELECTIVITY_H_
 #define SIA_ENGINE_SELECTIVITY_H_
 
-#include <cstdint>
-
 #include "common/status.h"
 #include "engine/column_table.h"
 #include "ir/expr.h"
 
 namespace sia {
 
-// Sampled selectivity estimation for predicates over a base table.
-//
-// The paper's Table 4 observation — rewrites with near-vacuous learned
-// predicates (selectivity ≈ 1) slow queries down — makes selectivity the
-// natural admission test for cost-aware rewriting. A full scan is exact
-// but costs as much as the filter it is trying to avoid; sampling
-// `sample_size` rows (systematic stride over the table, deterministic)
-// estimates it with standard binomial error (±1.6% at 1000 samples, 95%
-// confidence).
-struct SelectivityEstimate {
-  double selectivity = 0;
-  size_t sampled_rows = 0;
-  // Half-width of the 95% confidence interval.
-  double error_bound = 0;
-};
-
-// `predicate` must be bound against `table`'s schema. `sample_size` = 0
-// means scan everything (exact).
-[[nodiscard]] Result<SelectivityEstimate> EstimateSelectivity(const Table& table,
-                                                const ExprPtr& predicate,
-                                                size_t sample_size = 1000);
+// Exact selectivity of a predicate over a base table: the share of its
+// rows on which the predicate is TRUE, counted by one full pass of the
+// vectorized filter. The paper's Table 4 classifies rewrites by the
+// learned predicate's selectivity; the benches and tests report it.
+// `predicate` must be bound against `table`'s schema; an empty table has
+// selectivity 0.
+[[nodiscard]] Result<double> EstimateSelectivity(const Table& table,
+                                                 const ExprPtr& predicate);
 
 }  // namespace sia
 

@@ -11,36 +11,45 @@
 
 namespace sia {
 
-// Block-at-a-time (vectorized) predicate evaluation: the engine's scan,
-// filter and join-residual predicates all run here first. The postfix
-// program of CompiledExpr is interpreted one op per 2048-row block rather
-// than one op per row, so opcode dispatch, stack bookkeeping and column
-// resolution are paid once per op per block; the per-row work is a
-// tight arithmetic or comparison loop over a block buffer. That is all a
-// block buys: the kernels stay scalar. Built RelWithDebInfo (-O2) with
-// GCC 12, -fopt-info-vec-optimized reports no vectorized loop in
-// vector_filter.cc.
+// Block-at-a-time (vectorized) predicate evaluation: the engine's one
+// predicate evaluator, behind scan, filter and join residual alike. A
+// bound predicate compiles to a flat postfix program that is interpreted
+// one op per 2048-row block rather than one op per row, so opcode
+// dispatch, stack bookkeeping and column resolution are paid once per op
+// per block; the per-row work is a tight arithmetic or comparison loop
+// over a block buffer. That is all a block buys: the kernels stay scalar.
+// Built RelWithDebInfo (-O2) with GCC 12, -fopt-info-vec-optimized
+// reports no vectorized loop in vector_filter.cc.
 //
 // Columns come from one of two sources. A base table is read in place,
 // zero-copy. A Relation (a join intermediate) has each column the program
 // loads gathered once per block through its row-index vector into a
 // block buffer; the same opcode loop then runs over the buffers.
 //
-// Scope: integral columns only (INTEGER/DATE/TIMESTAMP/BOOLEAN) and
-// NULL-free loaded columns take the block kernels; DOUBLE programs,
-// division and NULL-bearing columns return Unsupported and the caller
-// falls back to CompiledExpr. The semantics on the supported domain are
-// identical to CompiledExpr, which a property test asserts.
+// Scope: the whole bound §4.1 grammar under the §5.2 semantics of
+// ir/evaluator, which a property test asserts. Every slot is typed at
+// compile time: an int64 lane (INTEGER/DATE/TIMESTAMP/BOOLEAN), a double
+// lane (int operands of a DOUBLE operation are promoted by a compiled
+// op), or a truth lane in Kleene order FALSE=0 < UNKNOWN=1 < TRUE=2, so
+// AND is min, OR is max and NOT is 2-x. A value slot carries a NULL mask
+// only where a NULL can occur — a loaded column that has_nulls(), or a
+// division (x/0 and INT64_MIN/-1 are NULL; integer division truncates
+// toward zero). A NULL literal is a constant. A comparison writes UNKNOWN
+// wherever an operand is NULL, and a block keeps only TRUE rows, so
+// NULL-free programs over NULL-free columns run without any mask work.
 class VectorizedFilter {
  public:
-  // Compiles a bound predicate. Returns Unsupported for programs that
-  // touch DOUBLE columns/literals, NULL literals or division (caller
-  // should fall back).
+  // The deepest evaluation stack a program may need; deeper (right-deep)
+  // expressions are refused with Unsupported.
+  static constexpr size_t kMaxStack = 64;
+
+  // Compiles a bound predicate. Fails on unbound columns, on expressions
+  // the binder would reject (arithmetic or comparison over predicates,
+  // logic over scalars) and on programs deeper than kMaxStack.
   [[nodiscard]] static Result<VectorizedFilter> Compile(const ExprPtr& expr);
 
   // Appends to `out` the indices of all rows of `table` on which the
-  // predicate evaluates to TRUE. Columns containing NULLs make this
-  // return Unsupported (fall back).
+  // predicate evaluates to TRUE.
   [[nodiscard]] Status FilterTable(const Table& table, std::vector<uint32_t>* out) const;
 
   // FilterTable restricted to rows [begin_row, end_row): the morsel-
@@ -53,32 +62,75 @@ class VectorizedFilter {
                      std::vector<uint32_t>* out) const;
 
   // FilterRange over rows [begin_row, end_row) of a relation: appended
-  // indices are relation row positions. Unsupported when any column the
-  // program loads has NULLs in its base table.
+  // indices are relation row positions.
   [[nodiscard]] Status FilterRange(const Relation& rel, size_t begin_row, size_t end_row,
                      std::vector<uint32_t>* out) const;
 
  private:
-  struct VOp {
-    uint8_t code;      // mirrors CompiledExpr::OpCode numeric values
-    uint32_t col = 0;  // kLoadInt: index into loaded_cols_
-    int64_t ival = 0;
+  // The lane a slot is computed in: int64, double, or a Kleene truth
+  // value.
+  enum class Lane : uint8_t { kInt, kDouble, kTruth };
+
+  // The postfix instruction set.
+  enum class Code : uint8_t {
+    kLoad,      // push loaded column `col`
+    kConst,     // push `ival` / `dval`, or NULL when `null`
+    kToDouble,  // promote the top int slot to the double lane
+    kToTruth,   // the BOOLEAN value on top becomes a truth value
+    kAdd,
+    kSub,
+    kMul,
+    kDiv,
+    kCmpLt,
+    kCmpLe,
+    kCmpGt,
+    kCmpGe,
+    kCmpEq,
+    kCmpNe,
+    kAnd,
+    kOr,
+    kNot,
   };
+
+  struct VOp {
+    Code code;
+    Lane lane;          // the lane the op computes in
+    bool null = false;  // kConst: a NULL literal
+    uint32_t col = 0;   // kLoad: index into loaded_cols_
+    int64_t ival = 0;
+    double dval = 0;
+  };
+
+  // A loaded column's cells for one block; defined in vector_filter.cc.
+  struct ColumnCells;
 
   VectorizedFilter() = default;
 
-  // The one block interpreter behind both sources. `load(k, base, n)`
-  // returns n values of column loaded_cols_[k] starting at source row
-  // `base`, valid until the next call with the same k.
+  // Emit the postfix program for a predicate, or for a value computed in
+  // `lane` (promoting an int value to the double lane when asked).
+  [[nodiscard]] Status EmitTruth(const ExprPtr& expr);
+  [[nodiscard]] Status EmitValue(const ExprPtr& expr, Lane lane);
+  void Push(VOp op);
+
+  // The one block interpreter behind both sources. `load(k, base, n,
+  // &cells)` fills n cells of column loaded_cols_[k] starting at source
+  // row `base`, valid until the next call with the same k. `masks` says
+  // whether any loaded column of this source has NULLs.
   template <typename Loader>
-  [[nodiscard]] Status FilterBlocks(size_t begin_row, size_t end_row, Loader&& load,
+  [[nodiscard]] Status FilterBlocks(size_t begin_row, size_t end_row, bool masks,
+                                    Loader&& load,
                                     std::vector<uint32_t>* out) const;
 
   std::vector<VOp> ops_;
-  // Distinct columns the program loads, in first-use order; each is
-  // fetched once per block however many ops read it.
+  // Distinct columns the program loads, in first-use order, and the lane
+  // each is read in; each is fetched once per block however many ops
+  // read it.
   std::vector<uint32_t> loaded_cols_;
+  std::vector<Lane> loaded_lanes_;
+  size_t depth_ = 0;
   size_t max_stack_ = 0;
+  bool has_doubles_ = false;
+  bool has_division_ = false;
 };
 
 }  // namespace sia

@@ -1,6 +1,7 @@
 #include "ir/evaluator.h"
 
 #include <cmath>
+#include <limits>
 
 namespace sia {
 
@@ -78,7 +79,10 @@ Result<Value> EvalArith(ArithOp op, const Value& l, const Value& r,
       out = a * b;
       break;
     case ArithOp::kDiv:
-      if (b == 0) return Value::Null(result_type);
+      // INT64_MIN / -1 is the one quotient int64 cannot hold.
+      if (b == 0 || (b == -1 && a == std::numeric_limits<int64_t>::min())) {
+        return Value::Null(result_type);
+      }
       out = a / b;  // SQL truncates toward zero
       break;
   }

@@ -19,8 +19,9 @@ TruthValue Not3(TruthValue a);
 
 // Evaluates a bound scalar expression against `tuple`. Column references
 // must be bound (index() valid for `tuple`). NULL propagates through
-// arithmetic; division by zero yields NULL (documented deviation: SQL
-// raises an error, but synthesis never needs to observe it).
+// arithmetic; division by zero, and INT64_MIN / -1, yield NULL
+// (documented deviation: SQL raises an error, but synthesis never needs to
+// observe it).
 [[nodiscard]] Result<Value> EvalScalar(const Expr& expr, const Tuple& tuple);
 
 // Evaluates a bound predicate against `tuple` under three-valued logic.

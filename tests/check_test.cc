@@ -6,6 +6,8 @@
 // regression tests pinning down the 3VL / division-by-zero / date-range
 // semantics the ExprValidator checks against.
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -15,8 +17,8 @@
 #include "check/plan_validator.h"
 #include "common/date.h"
 #include "engine/column_table.h"
-#include "engine/exec_expr.h"
 #include "engine/executor.h"
+#include "engine/vector_filter.h"
 #include "ir/binder.h"
 #include "ir/evaluator.h"
 #include "ir/simplify.h"
@@ -500,65 +502,96 @@ TEST(CheckPropertyTest, RewrittenQueriesProduceValidCnfAndPlans) {
 
 // --- Regression: the semantics the validator warns about ----------------------
 
-class TupleRow final : public RowAccessor {
- public:
-  explicit TupleRow(const Tuple* t) : t_(t) {}
-  int64_t IntAt(size_t col) const override { return t_->at(col).AsInt(); }
-  double DoubleAt(size_t col) const override {
-    return t_->at(col).AsDouble();
-  }
-  bool IsNull(size_t col) const override { return t_->at(col).is_null(); }
+// The engine's verdict on `pred` for the single row `row` of a table
+// with `schema`, read through the vectorized filter: TRUE when it keeps
+// the row, FALSE when it keeps the row under NOT, else UNKNOWN.
+TruthValue EngineTruth(const ExprPtr& pred, const Schema& schema,
+                       const Tuple& row) {
+  Table table(schema);
+  EXPECT_TRUE(table.AppendRow(row).ok());
+  const auto keeps = [&](const ExprPtr& p) {
+    auto filter = VectorizedFilter::Compile(p);
+    EXPECT_TRUE(filter.ok()) << filter.status().ToString();
+    std::vector<uint32_t> kept;
+    EXPECT_TRUE(filter.ok() && filter->FilterTable(table, &kept).ok());
+    return !kept.empty();
+  };
+  if (keeps(pred)) return TruthValue::kTrue;
+  if (keeps(Expr::Not(pred))) return TruthValue::kFalse;
+  return TruthValue::kUnknown;
+}
 
- private:
-  const Tuple* t_;
-};
+Schema NullableInts(size_t columns) {
+  Schema s;
+  for (size_t c = 0; c < columns; ++c) {
+    s.AddColumn({"t", std::string(1, static_cast<char>('a' + c)),
+                 DataType::kInteger, true});
+  }
+  return s;
+}
 
 // `NOT (x = NULL)` must stay UNKNOWN under 3VL — Simplify rewrites it to
 // `x <> NULL`, which is still UNKNOWN, never TRUE. Checks the tree
-// evaluator and the compiled interpreter agree, before and after
+// evaluator and the engine's vectorized filter agree, before and after
 // simplification.
 TEST(CheckRegressionTest, NegatedNullComparisonStaysUnknown) {
   const ExprPtr col = Expr::BoundColumn("t", "a", 0, DataType::kInteger);
   const ExprPtr pred = Expr::Not(
       Expr::Compare(CompareOp::kEq, col, Expr::Literal(Value::Null())));
   const Tuple row({Value::Integer(5)});
-  const TupleRow accessor(&row);
 
   for (const ExprPtr& variant : {pred, Simplify(pred)}) {
     auto tv = EvalPredicate(*variant, row);
     ASSERT_TRUE(tv.ok());
     EXPECT_EQ(*tv, TruthValue::kUnknown) << variant->ToString();
-
-    auto compiled = CompiledExpr::Compile(variant);
-    ASSERT_TRUE(compiled.ok());
-    EXPECT_EQ(compiled->EvalPredicate(accessor), 2) << variant->ToString();
+    EXPECT_EQ(EngineTruth(variant, NullableInts(1), row),
+              TruthValue::kUnknown)
+        << variant->ToString();
   }
 }
 
-// Division by zero yields NULL (documented deviation from SQL's error) in
-// the tree evaluator, the compiled interpreter, and constant folding —
-// never a crash or a garbage value.
+// Division by zero, and INT64_MIN / -1 (the one int64 quotient that
+// overflows), yield NULL (documented deviation from SQL's error) in the
+// tree evaluator, the engine's vectorized filter, and constant folding —
+// never a crash or a garbage value. `q = 0` is UNKNOWN exactly when the
+// quotient q is NULL.
 TEST(CheckRegressionTest, DivisionByZeroYieldsNullEverywhere) {
-  const ExprPtr col = Expr::BoundColumn("t", "a", 0, DataType::kInteger);
-  const ExprPtr div = Expr::Arith(ArithOp::kDiv, col, Expr::IntLit(0));
-  const Tuple row({Value::Integer(5)});
-  const TupleRow accessor(&row);
-
-  auto value = EvalScalar(*div, row);
-  ASSERT_TRUE(value.ok());
-  EXPECT_TRUE(value->is_null());
-
-  auto compiled = CompiledExpr::Compile(div);
-  ASSERT_TRUE(compiled.ok());
-  bool is_null = false;
-  compiled->EvalScalarInt(accessor, &is_null);
-  EXPECT_TRUE(is_null);
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  const ExprPtr a = Expr::BoundColumn("t", "a", 0, DataType::kInteger);
+  const ExprPtr b = Expr::BoundColumn("t", "b", 1, DataType::kInteger);
+  const struct {
+    ExprPtr div;
+    Tuple row;
+  } cases[] = {
+      {Expr::Arith(ArithOp::kDiv, a, Expr::IntLit(0)),
+       Tuple({Value::Integer(5), Value::Integer(0)})},
+      {Expr::Arith(ArithOp::kDiv, a, b),
+       Tuple({Value::Integer(5), Value::Integer(0)})},
+      {Expr::Arith(ArithOp::kDiv, a, Expr::IntLit(-1)),
+       Tuple({Value::Integer(kMin), Value::Integer(0)})},
+      {Expr::Arith(ArithOp::kDiv, a, b),
+       Tuple({Value::Integer(kMin), Value::Integer(-1)})},
+  };
+  for (const auto& c : cases) {
+    auto value = EvalScalar(*c.div, c.row);
+    ASSERT_TRUE(value.ok());
+    EXPECT_TRUE(value->is_null()) << c.div->ToString() << " on "
+                                  << c.row.ToString();
+    const ExprPtr is_zero =
+        Expr::Compare(CompareOp::kEq, c.div, Expr::IntLit(0));
+    EXPECT_EQ(EngineTruth(is_zero, NullableInts(2), c.row),
+              TruthValue::kUnknown)
+        << c.div->ToString() << " on " << c.row.ToString();
+  }
 
   // Constant folding must not "evaluate around" the division.
-  const ExprPtr folded =
-      Simplify(Expr::Arith(ArithOp::kDiv, Expr::IntLit(1), Expr::IntLit(0)));
-  ASSERT_EQ(folded->kind(), ExprKind::kLiteral);
-  EXPECT_TRUE(folded->literal().is_null());
+  for (const auto& [num, den] : {std::pair<int64_t, int64_t>{1, 0},
+                                 std::pair<int64_t, int64_t>{kMin, -1}}) {
+    const ExprPtr folded = Simplify(
+        Expr::Arith(ArithOp::kDiv, Expr::IntLit(num), Expr::IntLit(den)));
+    ASSERT_EQ(folded->kind(), ExprKind::kLiteral);
+    EXPECT_TRUE(folded->literal().is_null());
+  }
 }
 
 // Constant folding can push a date literal out of the representable

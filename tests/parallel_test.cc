@@ -23,7 +23,6 @@
 #include "engine/vector_filter.h"
 #include "ir/binder.h"
 #include "ir/builder.h"
-#include "obs/metrics.h"
 #include "parser/parser.h"
 #include "rewrite/batch_rewriter.h"
 #include "rewrite/rewrite_cache.h"
@@ -226,30 +225,9 @@ TEST(MorselParallelTest, DuplicateKeyBuildWithResidualIsThreadCountInvariant) {
       "AND l_receiptdate - l_commitdate > o_orderdate - l_shipdate + 40");
 }
 
-// --- The vectorized-fallback counter ----------------------------------------
+// --- NULL-bearing columns through the block kernels -------------------------
 
-TEST(ScanFallbackCounterTest, PureIntegralScanNeverFallsBack) {
-  obs::MetricsRegistry::SetEnabled(true);
-  obs::MetricsRegistry::Instance().ResetAll();
-  const Catalog catalog = Catalog::TpchCatalog();
-  const TpchData& data = SharedTpch();
-  Executor executor;
-  executor.RegisterTable("lineitem", &data.lineitem);
-  executor.RegisterTable("orders", &data.orders);
-  auto out = RunSql("SELECT * FROM lineitem WHERE l_shipdate < '1995-01-01'",
-                    catalog, executor);
-  ASSERT_TRUE(out.ok()) << out.status().ToString();
-  EXPECT_EQ(obs::MetricsRegistry::Instance()
-                .GetCounter("exec.scan.vectorized_fallback")
-                .Value(),
-            0u);
-  obs::MetricsRegistry::SetEnabled(false);
-}
-
-TEST(ScanFallbackCounterTest, NullableColumnScanCountsFallbacks) {
-  obs::MetricsRegistry::SetEnabled(true);
-  obs::MetricsRegistry::Instance().ResetAll();
-
+TEST(NullableColumnTest, ScanKeepsOnlyTrueRows) {
   Schema s;
   s.AddColumn({"t", "x", DataType::kInteger, true});
   Table table(s);
@@ -267,17 +245,9 @@ TEST(ScanFallbackCounterTest, NullableColumnScanCountsFallbacks) {
   // NULL < 50 is NULL, i.e. not TRUE: rows 1..49 pass except the four
   // nulled multiples of ten (10, 20, 30, 40) — and row 0 is null too.
   EXPECT_EQ(out->row_count, 45u);
-  EXPECT_GT(obs::MetricsRegistry::Instance()
-                .GetCounter("exec.scan.vectorized_fallback")
-                .Value(),
-            0u);
-  obs::MetricsRegistry::SetEnabled(false);
 }
 
-TEST(ScanFallbackCounterTest, NullableJoinResidualCountsFallbacks) {
-  obs::MetricsRegistry::SetEnabled(true);
-  obs::MetricsRegistry::Instance().ResetAll();
-
+TEST(NullableColumnTest, JoinResidualKeepsOnlyTrueRows) {
   Schema p;
   p.AddColumn({"p", "pk", DataType::kInteger, false});
   p.AddColumn({"p", "pv", DataType::kInteger, true});
@@ -300,18 +270,13 @@ TEST(ScanFallbackCounterTest, NullableJoinResidualCountsFallbacks) {
   Executor executor;
   executor.RegisterTable("p", &tp);
   executor.RegisterTable("q", &tq);
-  // The residual pv < qv spans both tables, so it runs on the joined rows,
-  // and pv's NULLs send it to the row interpreter.
+  // The residual pv < qv spans both tables, so it runs on the joined
+  // rows, with pv's NULL flags gathered alongside its values.
   auto out = RunSql("SELECT * FROM p, q WHERE pk = qk AND pv < qv", catalog,
                     executor);
   ASSERT_TRUE(out.ok()) << out.status().ToString();
   // pv < 50 holds for 1..49 except the nulled multiples of ten.
   EXPECT_EQ(out->row_count, 45u);
-  EXPECT_GT(obs::MetricsRegistry::Instance()
-                .GetCounter("exec.scan.vectorized_fallback")
-                .Value(),
-            0u);
-  obs::MetricsRegistry::SetEnabled(false);
 }
 
 // --- RewriteCache single-flight ---------------------------------------------

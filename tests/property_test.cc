@@ -310,15 +310,59 @@ struct OracleAnswer {
   uint64_t content_hash = 0;
 };
 
-OracleAnswer NestedLoopReference(const Table& r, const Table& s,
-                                 const ExprPtr& where, const Schema& joint) {
+OracleAnswer Digest(const std::vector<Tuple>& rows) {
+  OracleAnswer out;
+  out.rows = rows.size();
+  for (const Tuple& row : rows) out.content_hash += OracleRowHash(row);
+  return out;
+}
+
+// GROUP BY `cols` over `rows`, naively: a group per distinct key (NULLs
+// form one group, values compare numerically), each output row its key
+// cells and then COUNT(*).
+std::vector<Tuple> GroupCount(const std::vector<Tuple>& rows,
+                              const std::vector<size_t>& cols) {
+  const auto same = [](const Value& a, const Value& b) {
+    if (a.is_null() || b.is_null()) return a.is_null() && b.is_null();
+    return a.type() == DataType::kDouble ? a.AsDouble() == b.AsDouble()
+                                         : a.AsInt() == b.AsInt();
+  };
+  std::vector<Tuple> groups;
+  for (const Tuple& row : rows) {
+    Tuple key;
+    for (const size_t c : cols) key.Append(row.at(c));
+    bool found = false;
+    for (Tuple& g : groups) {
+      bool match = true;
+      for (size_t k = 0; k < cols.size(); ++k) {
+        match = match && same(g.at(k), key.at(k));
+      }
+      if (match) {
+        g.at(cols.size()) = Value::Integer(g.at(cols.size()).AsInt() + 1);
+        found = true;
+        break;
+      }
+    }
+    if (!found) {
+      key.Append(Value::Integer(1));
+      groups.push_back(key);
+    }
+  }
+  return groups;
+}
+
+// The joined rows of r x s that satisfy `where`, by a nested loop over
+// ir/evaluator.
+std::vector<Tuple> NestedLoopReference(const Table& r, const Table& s,
+                                       const ExprPtr& where,
+                                       const Schema& joint) {
   ExprPtr bound;
   if (where != nullptr) {
     auto b = Bind(where, joint);
     EXPECT_TRUE(b.ok()) << b.status().ToString();
     bound = *b;
   }
-  OracleAnswer out;
+  std::vector<Tuple> out;
   std::vector<Tuple> right;
   for (size_t j = 0; j < s.row_count(); ++j) right.push_back(s.RowAt(j));
   for (size_t i = 0; i < r.row_count(); ++i) {
@@ -331,15 +375,37 @@ OracleAnswer NestedLoopReference(const Table& r, const Table& s,
         EXPECT_TRUE(keep.ok()) << keep.status().ToString();
         if (!keep.ok() || !*keep) continue;
       }
-      ++out.rows;
-      out.content_hash += OracleRowHash(row);
+      out.push_back(std::move(row));
     }
   }
   return out;
 }
 
-// One instance through the engine at every thread count and both
-// pushdown settings, checked against the reference.
+// One query through the engine at every thread count, checked against
+// the reference answer.
+void CheckOracleQuery(const ParsedQuery& query, const Catalog& catalog,
+                      Executor& executor, bool pushdown,
+                      const OracleAnswer& want, ThreadPool* const* pools,
+                      size_t pool_count) {
+  const std::string sql = query.ToString();
+  PlannerOptions options;
+  options.push_down_filters = pushdown;
+  uint64_t order_hash = 0;
+  for (size_t p = 0; p < pool_count; ++p) {
+    executor.set_thread_pool(pools[p]);
+    auto got = RunQuery(query, catalog, executor, options);
+    ASSERT_TRUE(got.ok()) << sql << ": " << got.status().ToString();
+    EXPECT_EQ(got->row_count, want.rows) << sql;
+    EXPECT_EQ(got->content_hash, want.content_hash) << sql;
+    if (p == 0) order_hash = got->order_hash;
+    EXPECT_EQ(got->order_hash, order_hash)
+        << sql << " at " << pools[p]->thread_count() << " threads";
+  }
+}
+
+// One instance, as SELECT * and grouped by one or two random columns
+// (DOUBLE and NULL group keys included), through the engine at every
+// thread count and both pushdown settings.
 void CheckOracleInstance(Rng& rng, size_t r_rows, size_t s_rows,
                          int64_t key_range, ThreadPool* const* pools,
                          size_t pool_count) {
@@ -355,26 +421,27 @@ void CheckOracleInstance(Rng& rng, size_t r_rows, size_t s_rows,
   query.select_list = {star};
   query.where = OracleWhere(rng);
   const Schema joint = catalog.JointSchema(query.tables).value();
-  const OracleAnswer want = NestedLoopReference(r, s, query.where, joint);
-  const std::string sql = query.ToString();
+  const std::vector<Tuple> matches =
+      NestedLoopReference(r, s, query.where, joint);
+
+  ParsedQuery grouped = query;
+  std::vector<size_t> group_cols;
+  for (int64_t k = rng.Uniform(1, 2); k > 0; --k) {
+    const size_t c = static_cast<size_t>(rng.Uniform(0, 7));
+    group_cols.push_back(c);
+    grouped.group_by.push_back(
+        Expr::Column(joint.column(c).table, joint.column(c).name));
+  }
 
   Executor executor;
   executor.RegisterTable("r", &r);
   executor.RegisterTable("s", &s);
   for (const bool pushdown : {true, false}) {
-    PlannerOptions options;
-    options.push_down_filters = pushdown;
-    uint64_t order_hash = 0;
-    for (size_t p = 0; p < pool_count; ++p) {
-      executor.set_thread_pool(pools[p]);
-      auto got = RunQuery(query, catalog, executor, options);
-      ASSERT_TRUE(got.ok()) << sql << ": " << got.status().ToString();
-      EXPECT_EQ(got->row_count, want.rows) << sql;
-      EXPECT_EQ(got->content_hash, want.content_hash) << sql;
-      if (p == 0) order_hash = got->order_hash;
-      EXPECT_EQ(got->order_hash, order_hash)
-          << sql << " at " << pools[p]->thread_count() << " threads";
-    }
+    CheckOracleQuery(query, catalog, executor, pushdown, Digest(matches),
+                     pools, pool_count);
+    CheckOracleQuery(grouped, catalog, executor, pushdown,
+                     Digest(GroupCount(matches, group_cols)), pools,
+                     pool_count);
   }
 }
 

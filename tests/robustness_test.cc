@@ -8,7 +8,7 @@
 #include "common/deadline.h"
 #include "common/rng.h"
 #include "common/stopwatch.h"
-#include "engine/exec_expr.h"
+#include "engine/vector_filter.h"
 #include "ir/binder.h"
 #include "ir/builder.h"
 #include "ir/evaluator.h"
@@ -210,7 +210,7 @@ TEST(LexerEdgeTest, EmptyAndWhitespaceOnly) {
 
 // --- Degenerate expressions ---------------------------------------------------
 
-TEST(DeepExpressionTest, CompiledExprDepthLimit) {
+TEST(DeepExpressionTest, VectorizedFilterDepthLimit) {
   Schema s = Abc();
   ExprPtr e = BindOrDie(Col("a"), s);
   for (int i = 0; i < 70; ++i) {
@@ -220,7 +220,7 @@ TEST(DeepExpressionTest, CompiledExprDepthLimit) {
   }
   // Depth stays ~3 for left-deep chains: should compile fine.
   ExprPtr pred = Expr::Compare(CompareOp::kGt, e, Expr::IntLit(0));
-  EXPECT_TRUE(CompiledExpr::Compile(pred).ok());
+  EXPECT_TRUE(VectorizedFilter::Compile(pred).ok());
 
   // Right-deep nesting drives the stack depth up; must be rejected, not
   // overflow.
@@ -229,7 +229,7 @@ TEST(DeepExpressionTest, CompiledExprDepthLimit) {
     deep = Expr::Arith(ArithOp::kAdd, Expr::IntLit(1), deep);
   }
   ExprPtr deep_pred = Expr::Compare(CompareOp::kGt, deep, Expr::IntLit(0));
-  auto compiled = CompiledExpr::Compile(deep_pred);
+  auto compiled = VectorizedFilter::Compile(deep_pred);
   EXPECT_FALSE(compiled.ok());
   EXPECT_EQ(compiled.status().code(), StatusCode::kUnsupported);
 }

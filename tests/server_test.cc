@@ -340,6 +340,39 @@ TEST(ServerTest, MalformedFramesNeverKillTheServer) {
   EXPECT_GE(counters.protocol_errors, 2u);
 }
 
+// Queries that used to end the daemon in execution: a GROUP BY over a
+// DOUBLE column (the aggregate read its empty int storage: SIGSEGV) and
+// an INT64_MIN / -1 division in a predicate (SIGFPE). Each is answered,
+// OK or a typed ERROR, and a PING still answers afterwards.
+TEST(ServerTest, HostileQueriesNeverKillTheServer) {
+  ServerOptions options = FastServerOptions();
+  options.service.scale_factor = 0.002;  // execute every query
+  auto server = SiaServer::Start(options);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  const uint16_t port = (*server)->port();
+
+  const char* const kHostile[] = {
+      "QUERY\nSELECT * FROM lineitem, orders WHERE o_orderkey = l_orderkey "
+      "AND l_shipdate - o_orderdate < 20 GROUP BY l_extendedprice",
+      "QUERY\nSELECT * FROM lineitem, orders WHERE o_orderkey = l_orderkey "
+      "AND l_shipdate - o_orderdate < 20 AND (o_custkey - "
+      "9223372036854775807 - o_custkey - 1) / (o_custkey - o_custkey - 1) "
+      "> o_custkey",
+  };
+  for (const char* query : kHostile) {
+    auto reply = RoundTrip(port, query);
+    ASSERT_TRUE(reply.ok()) << query << ": " << reply.status().ToString();
+    EXPECT_TRUE(reply->kind == ResponseKind::kOk ||
+                reply->kind == ResponseKind::kError)
+        << query;
+  }
+
+  auto pong = RoundTrip(port, "PING");
+  ASSERT_TRUE(pong.ok()) << pong.status().ToString();
+  EXPECT_EQ(pong->kind, ResponseKind::kOk);
+  EXPECT_TRUE((*server)->DrainAndStop().ok());
+}
+
 // Overload: one worker, a depth-4 queue, executions slowed by an
 // injected per-scan latency, and a 64-connection burst. The queue fills,
 // the overflow is shed with Retry-After hints, and every connection gets

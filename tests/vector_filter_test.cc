@@ -7,12 +7,11 @@
 
 #include "common/rng.h"
 #include "engine/column_table.h"
-#include "engine/cursors.h"
-#include "engine/exec_expr.h"
 #include "engine/relation.h"
 #include "engine/vector_filter.h"
 #include "ir/binder.h"
 #include "ir/builder.h"
+#include "ir/evaluator.h"
 
 namespace sia {
 namespace {
@@ -27,26 +26,42 @@ Schema ThreeIntCols(bool nullable = false) {
   return s;
 }
 
-Table RandomTable(const Schema& schema, size_t rows, uint64_t seed) {
+// ThreeIntCols plus a DOUBLE column x, all nullable.
+Schema MixedCols() {
+  Schema s = ThreeIntCols(/*nullable=*/true);
+  s.AddColumn({"t", "x", DataType::kDouble, true});
+  return s;
+}
+
+// Integral cells uniform in [-50, 50], DOUBLE cells in quarter steps over
+// the same range; each cell NULL with probability `null_prob` (the
+// column must then be nullable).
+Table RandomTable(const Schema& schema, size_t rows, uint64_t seed,
+                  double null_prob = 0) {
   Table table(schema);
   Rng rng(seed);
-  std::vector<int64_t> row(schema.size());
   for (size_t i = 0; i < rows; ++i) {
-    for (auto& v : row) v = rng.Uniform(-50, 50);
-    table.AppendIntRow(row);
+    Tuple row;
+    for (const ColumnDef& c : schema.columns()) {
+      if (rng.Bernoulli(null_prob)) {
+        row.Append(Value::Null(c.type));
+      } else if (c.type == DataType::kDouble) {
+        row.Append(Value::Double(static_cast<double>(rng.Uniform(-200, 200)) / 4));
+      } else {
+        row.Append(Value::Integer(rng.Uniform(-50, 50)));
+      }
+    }
+    EXPECT_TRUE(table.AppendRow(row).ok());
   }
   return table;
 }
 
-// Reference implementation: row-at-a-time CompiledExpr.
+// Reference implementation: ir/evaluator, row at a time.
 std::vector<uint32_t> ReferenceFilter(const Table& table,
                                       const ExprPtr& pred) {
-  const CompiledExpr compiled = CompiledExpr::Compile(pred).value();
-  TableCursor row(table);
   std::vector<uint32_t> out;
   for (size_t i = 0; i < table.row_count(); ++i) {
-    row.set_row(i);
-    if (compiled.EvalPredicate(row) == 1) {
+    if (Satisfies(*pred, table.RowAt(i)).value()) {
       out.push_back(static_cast<uint32_t>(i));
     }
   }
@@ -84,33 +99,66 @@ TEST(VectorFilterTest, ConstantFoldedResult) {
   EXPECT_TRUE(none.empty());
 }
 
-TEST(VectorFilterTest, FallbackOnDouble) {
-  Schema s;
-  s.AddColumn({"t", "x", DataType::kDouble, false});
-  ExprPtr p = Bind(Col("x") < Lit(0.5), s).value();
-  EXPECT_FALSE(VectorizedFilter::Compile(p).ok());
+TEST(VectorFilterTest, DoubleColumnAndPromotedInt) {
+  const Schema s = MixedCols();
+  const Table table = RandomTable(s, 5000, 3, 0.1);
+  for (const ExprPtr& p :
+       {Bind(Col("x") < Lit(0.5), s).value(),
+        Bind(Col("x") * Lit(2) >= Col("a") + Lit(1.25), s).value(),
+        Bind(Col("a") - Col("x") == Col("b"), s).value()}) {
+    auto vf = VectorizedFilter::Compile(p);
+    ASSERT_TRUE(vf.ok()) << p->ToString();
+    std::vector<uint32_t> got;
+    ASSERT_TRUE(vf->FilterTable(table, &got).ok());
+    EXPECT_EQ(got, ReferenceFilter(table, p)) << p->ToString();
+  }
 }
 
-TEST(VectorFilterTest, FallbackOnDivision) {
-  Schema s = ThreeIntCols();
-  ExprPtr p = Bind(Col("a") / Lit(3) == Lit(1), s).value();
-  EXPECT_FALSE(VectorizedFilter::Compile(p).ok());
+TEST(VectorFilterTest, DivisionByZeroIsUnknown) {
+  const Schema s = ThreeIntCols();
+  Table table(s);
+  table.AppendIntRow({7, 0, 1});
+  table.AppendIntRow({7, 2, 1});
+  table.AppendIntRow({-7, 2, 1});
+  // 7/0 is NULL: neither p nor NOT p keeps row 0. -7/2 truncates to -3.
+  const ExprPtr p = Bind(Col("a") / Col("b") == Lit(3), s).value();
+  std::vector<uint32_t> kept;
+  ASSERT_TRUE(VectorizedFilter::Compile(p)->FilterTable(table, &kept).ok());
+  EXPECT_EQ(kept, (std::vector<uint32_t>{1}));
+  kept.clear();
+  ASSERT_TRUE(
+      VectorizedFilter::Compile(Expr::Not(p))->FilterTable(table, &kept).ok());
+  EXPECT_EQ(kept, (std::vector<uint32_t>{2}));
 }
 
-TEST(VectorFilterTest, FallbackOnNullColumn) {
+TEST(VectorFilterTest, NullColumnIsUnknown) {
   Schema s = ThreeIntCols(/*nullable=*/true);
   Table table(s);
   ASSERT_TRUE(
       table.AppendRow(Tuple({Value::Integer(1), Value::Null(), Value::Integer(2)}))
           .ok());
-  ExprPtr p = Bind(Col("b") < Lit(0), s).value();
-  auto vf = VectorizedFilter::Compile(p);
-  ASSERT_TRUE(vf.ok());  // compiles; the NULL is discovered per table
+  ASSERT_TRUE(table
+                  .AppendRow(Tuple({Value::Integer(1), Value::Integer(-3),
+                                    Value::Integer(2)}))
+                  .ok());
+  // NULL < 0 is UNKNOWN, so row 0 passes neither the predicate nor its
+  // negation; UNKNOWN OR TRUE is TRUE, so it passes the disjunction.
+  const ExprPtr p = Bind(Col("b") < Lit(0), s).value();
+  const ExprPtr p_or = Bind((Col("b") < Lit(0)) || (Col("a") == Lit(1)), s).value();
   std::vector<uint32_t> out;
-  EXPECT_FALSE(vf->FilterTable(table, &out).ok());
+  ASSERT_TRUE(VectorizedFilter::Compile(p)->FilterTable(table, &out).ok());
+  EXPECT_EQ(out, (std::vector<uint32_t>{1}));
+  out.clear();
+  ASSERT_TRUE(
+      VectorizedFilter::Compile(Expr::Not(p))->FilterTable(table, &out).ok());
+  EXPECT_TRUE(out.empty());
+  out.clear();
+  ASSERT_TRUE(VectorizedFilter::Compile(p_or)->FilterTable(table, &out).ok());
+  EXPECT_EQ(out, (std::vector<uint32_t>{0, 1}));
 }
 
-// A random NULL-free integral predicate over `cols` (table, column).
+// A random predicate over `cols` (table, column): arithmetic with
+// division, INTEGER and DOUBLE literals, comparisons, AND/OR/NOT.
 ExprPtr RandomPredicate(Rng& rng,
                         const std::vector<std::pair<std::string, std::string>>& cols) {
   auto random_scalar = [&](auto&& self, int depth) -> ExprPtr {
@@ -120,10 +168,14 @@ ExprPtr RandomPredicate(Rng& rng,
             cols[rng.Uniform(0, static_cast<int64_t>(cols.size()) - 1)];
         return Expr::Column(table, column);
       }
+      if (rng.Bernoulli(0.2)) {
+        return Expr::DoubleLit(static_cast<double>(rng.Uniform(-60, 60)) / 2);
+      }
       return Expr::IntLit(rng.Uniform(-30, 30));
     }
-    const ArithOp ops[] = {ArithOp::kAdd, ArithOp::kSub, ArithOp::kMul};
-    return Expr::Arith(ops[rng.Uniform(0, 2)], self(self, depth - 1),
+    const ArithOp ops[] = {ArithOp::kAdd, ArithOp::kSub, ArithOp::kMul,
+                           ArithOp::kDiv};
+    return Expr::Arith(ops[rng.Uniform(0, 3)], self(self, depth - 1),
                        self(self, depth - 1));
   };
   auto random_pred = [&](auto&& self, int depth) -> ExprPtr {
@@ -139,43 +191,27 @@ ExprPtr RandomPredicate(Rng& rng,
   return random_pred(random_pred, 3);
 }
 
-// Row-at-a-time access to a Relation, resolved per cell: the reference
-// the relation-source block path is checked against.
-class RelationAccessor final : public RowAccessor {
- public:
-  explicit RelationAccessor(const Relation& rel) : rel_(rel) {}
-  void set_row(size_t row) { row_ = row; }
-  int64_t IntAt(size_t col) const override { return Column(col).IntAt(At(col)); }
-  double DoubleAt(size_t col) const override {
-    return Column(col).DoubleAt(At(col));
-  }
-  bool IsNull(size_t col) const override { return Column(col).IsNull(At(col)); }
-
- private:
-  const ColumnData& Column(size_t col) const {
-    const auto [part, local] = rel_.Resolve(col);
-    return rel_.parts[part]->column(local);
-  }
-  size_t At(size_t col) const { return rel_.rows[rel_.Resolve(col).first][row_]; }
-
-  const Relation& rel_;
-  size_t row_ = 0;
-};
-
-// Property sweep: random integral predicates agree with CompiledExpr on
-// random tables, across block-boundary row counts.
+// Property sweep: random predicates agree with ir/evaluator on random
+// tables, across block-boundary row counts: integral NULL-free tables
+// (the mask-free kernels) and nullable INTEGER + DOUBLE tables.
 class VectorFilterPropertyTest : public ::testing::TestWithParam<size_t> {};
 
-TEST_P(VectorFilterPropertyTest, AgreesWithRowInterpreter) {
+TEST_P(VectorFilterPropertyTest, AgreesWithEvaluator) {
   const size_t rows = GetParam();
-  Schema s = ThreeIntCols();
-  Table table = RandomTable(s, rows, 40 + rows);
+  const Schema integral = ThreeIntCols();
+  const Schema mixed = MixedCols();
+  const Table plain = RandomTable(integral, rows, 40 + rows);
+  const Table nullable = RandomTable(mixed, rows, 50 + rows, 0.1);
 
   Rng rng(1000 + rows);
   for (int trial = 0; trial < 40; ++trial) {
-    ExprPtr p = Bind(RandomPredicate(rng, {{"t", "a"}, {"t", "b"}, {"t", "c"}}),
-                     s)
-                    .value();
+    const bool with_nulls = trial % 2 == 1;
+    const Schema& s = with_nulls ? mixed : integral;
+    const Table& table = with_nulls ? nullable : plain;
+    std::vector<std::pair<std::string, std::string>> cols = {
+        {"t", "a"}, {"t", "b"}, {"t", "c"}};
+    if (with_nulls) cols.push_back({"t", "x"});
+    ExprPtr p = Bind(RandomPredicate(rng, cols), s).value();
     auto vf = VectorizedFilter::Compile(p);
     ASSERT_TRUE(vf.ok()) << p->ToString();
     std::vector<uint32_t> got;
@@ -185,17 +221,18 @@ TEST_P(VectorFilterPropertyTest, AgreesWithRowInterpreter) {
 }
 
 // The relation source: the same programs over a joined Relation (two
-// base tables, rows picked with repeats and in no particular order, as a
-// join emits them), filtered piecewise at split points aligned neither to
-// the 2048-row block nor to the engine's 16K-row morsel.
-TEST_P(VectorFilterPropertyTest, RelationSourceAgreesWithRowInterpreter) {
+// nullable base tables, one with a DOUBLE column, rows picked with
+// repeats and in no particular order, as a join emits them), filtered
+// piecewise at split points aligned neither to the 2048-row block nor to
+// the engine's 16K-row morsel.
+TEST_P(VectorFilterPropertyTest, RelationSourceAgreesWithEvaluator) {
   const size_t rows = GetParam();
-  const Schema left_schema = ThreeIntCols();
+  const Schema left_schema = MixedCols();
   Schema right_schema;
-  right_schema.AddColumn({"u", "d", DataType::kInteger, false});
-  right_schema.AddColumn({"u", "e", DataType::kInteger, false});
-  const Table left = RandomTable(left_schema, 300, 7 + rows);
-  const Table right = RandomTable(right_schema, 200, 9 + rows);
+  right_schema.AddColumn({"u", "d", DataType::kInteger, true});
+  right_schema.AddColumn({"u", "e", DataType::kInteger, true});
+  const Table left = RandomTable(left_schema, 300, 7 + rows, 0.1);
+  const Table right = RandomTable(right_schema, 200, 9 + rows, 0.1);
   Schema joint = left_schema;
   for (const ColumnDef& c : right_schema.columns()) joint.AddColumn(c);
 
@@ -210,15 +247,15 @@ TEST_P(VectorFilterPropertyTest, RelationSourceAgreesWithRowInterpreter) {
 
   for (int trial = 0; trial < 40; ++trial) {
     ExprPtr p = Bind(RandomPredicate(rng, {{"t", "a"}, {"t", "b"}, {"t", "c"},
-                                           {"u", "d"}, {"u", "e"}}),
+                                           {"t", "x"}, {"u", "d"}, {"u", "e"}}),
                      joint)
                     .value();
-    const CompiledExpr compiled = CompiledExpr::Compile(p).value();
-    RelationAccessor row(rel);
     std::vector<uint32_t> want;
     for (size_t i = 0; i < rows; ++i) {
-      row.set_row(i);
-      if (compiled.EvalPredicate(row) == 1) want.push_back(static_cast<uint32_t>(i));
+      Tuple row = left.RowAt(rel.rows[0][i]);
+      const Tuple other = right.RowAt(rel.rows[1][i]);
+      for (const Value& v : other.values()) row.Append(v);
+      if (Satisfies(*p, row).value()) want.push_back(static_cast<uint32_t>(i));
     }
 
     auto vf = VectorizedFilter::Compile(p);

@@ -344,7 +344,6 @@ void PreregisterCoreMetrics() {
   reg.GetCounter("rewrite.cache.hit");
   reg.GetCounter("rewrite.cache.miss");
   reg.GetCounter("rewrite.batch.queries");
-  reg.GetCounter("exec.scan.vectorized_fallback");
   for (const char* rung : {"full", "retry", "interval", "original"}) {
     reg.GetCounter(std::string("rewrite.rung.") + rung);
   }
