@@ -14,6 +14,9 @@ struct VectorizedFilter::ColumnCells {
 
 namespace {
 
+// The deepest evaluation stack a program may use.
+constexpr size_t kMaxStack = 64;
+
 // Truth values in Kleene order: AND is min, OR is max, NOT is 2 - x.
 constexpr int64_t kFalse = 0;
 constexpr int64_t kUnknown = 1;
@@ -125,34 +128,6 @@ void DivideCells(const VSlot& l, const VSlot& r, size_t n, T* out,
   }
 }
 
-// Comparisons are spelled through < and > only, so a NaN compares the
-// way ir/evaluator's three-way comparison does; on int64 they compile to
-// the plain operators.
-struct Lt {
-  template <typename T>
-  bool operator()(T a, T b) const { return a < b; }
-};
-struct Le {
-  template <typename T>
-  bool operator()(T a, T b) const { return !(a > b); }
-};
-struct Gt {
-  template <typename T>
-  bool operator()(T a, T b) const { return a > b; }
-};
-struct Ge {
-  template <typename T>
-  bool operator()(T a, T b) const { return !(a < b); }
-};
-struct Eq {
-  template <typename T>
-  bool operator()(T a, T b) const { return !(a < b) && !(a > b); }
-};
-struct Ne {
-  template <typename T>
-  bool operator()(T a, T b) const { return a < b || a > b; }
-};
-
 }  // namespace
 
 Result<VectorizedFilter> VectorizedFilter::Compile(const ExprPtr& expr) {
@@ -180,7 +155,7 @@ void VectorizedFilter::Push(VOp op) {
   }
   max_stack_ = std::max(max_stack_, depth_);
   has_doubles_ |= op.lane == Lane::kDouble;
-  has_division_ |= op.code == Code::kDiv;
+  has_division_ |= op.code == Code::kArith && op.arith == ArithOp::kDiv;
   ops_.push_back(op);
 }
 
@@ -228,22 +203,9 @@ Status VectorizedFilter::EmitValue(const ExprPtr& expr, Lane lane) {
                      : Lane::kInt;
       SIA_RETURN_IF_ERROR(EmitValue(expr->left(), produced));
       SIA_RETURN_IF_ERROR(EmitValue(expr->right(), produced));
-      Code code = Code::kAdd;
-      switch (expr->arith_op()) {
-        case ArithOp::kAdd:
-          code = Code::kAdd;
-          break;
-        case ArithOp::kSub:
-          code = Code::kSub;
-          break;
-        case ArithOp::kMul:
-          code = Code::kMul;
-          break;
-        case ArithOp::kDiv:
-          code = Code::kDiv;
-          break;
-      }
-      Push({code, produced});
+      VOp op{Code::kArith, produced};
+      op.arith = expr->arith_op();
+      Push(op);
       break;
     }
     default:
@@ -268,28 +230,9 @@ Status VectorizedFilter::EmitTruth(const ExprPtr& expr) {
                             : Lane::kInt;
       SIA_RETURN_IF_ERROR(EmitValue(expr->left(), lane));
       SIA_RETURN_IF_ERROR(EmitValue(expr->right(), lane));
-      Code code = Code::kCmpEq;
-      switch (expr->compare_op()) {
-        case CompareOp::kLt:
-          code = Code::kCmpLt;
-          break;
-        case CompareOp::kLe:
-          code = Code::kCmpLe;
-          break;
-        case CompareOp::kGt:
-          code = Code::kCmpGt;
-          break;
-        case CompareOp::kGe:
-          code = Code::kCmpGe;
-          break;
-        case CompareOp::kEq:
-          code = Code::kCmpEq;
-          break;
-        case CompareOp::kNe:
-          code = Code::kCmpNe;
-          break;
-      }
-      Push({code, lane});
+      VOp op{Code::kCompare, lane};
+      op.compare = expr->compare_op();
+      Push(op);
       return Status::OK();
     }
     case ExprKind::kLogic:
@@ -458,9 +401,6 @@ Status VectorizedFilter::FilterBlocks(size_t begin_row, size_t end_row,
       l.ints = o;
     }
   };
-  const auto add = [](auto a, auto b) { return a + b; };
-  const auto sub = [](auto a, auto b) { return a - b; };
-  const auto mul = [](auto a, auto b) { return a * b; };
   const auto min = [](int64_t a, int64_t b) { return std::min(a, b); };
   const auto max = [](int64_t a, int64_t b) { return std::max(a, b); };
 
@@ -517,35 +457,47 @@ Status VectorizedFilter::FilterBlocks(size_t begin_row, size_t end_row,
           }
           break;
         }
-        case Code::kAdd:
-          arith(op.lane, add);
+        case Code::kArith:
+          switch (op.arith) {
+            case ArithOp::kAdd:
+              arith(op.lane, [](auto a, auto b) { return a + b; });
+              break;
+            case ArithOp::kSub:
+              arith(op.lane, [](auto a, auto b) { return a - b; });
+              break;
+            case ArithOp::kMul:
+              arith(op.lane, [](auto a, auto b) { return a * b; });
+              break;
+            case ArithOp::kDiv:
+              divide(op.lane);
+              break;
+          }
           break;
-        case Code::kSub:
-          arith(op.lane, sub);
-          break;
-        case Code::kMul:
-          arith(op.lane, mul);
-          break;
-        case Code::kDiv:
-          divide(op.lane);
-          break;
-        case Code::kCmpLt:
-          compare(op.lane, Lt{});
-          break;
-        case Code::kCmpLe:
-          compare(op.lane, Le{});
-          break;
-        case Code::kCmpGt:
-          compare(op.lane, Gt{});
-          break;
-        case Code::kCmpGe:
-          compare(op.lane, Ge{});
-          break;
-        case Code::kCmpEq:
-          compare(op.lane, Eq{});
-          break;
-        case Code::kCmpNe:
-          compare(op.lane, Ne{});
+        case Code::kCompare:
+          // Spelled through < and > only, so a NaN compares the way
+          // ir/evaluator's three-way comparison does; on int64 these
+          // compile to the plain operators.
+          switch (op.compare) {
+            case CompareOp::kLt:
+              compare(op.lane, [](auto a, auto b) { return a < b; });
+              break;
+            case CompareOp::kLe:
+              compare(op.lane, [](auto a, auto b) { return !(a > b); });
+              break;
+            case CompareOp::kGt:
+              compare(op.lane, [](auto a, auto b) { return a > b; });
+              break;
+            case CompareOp::kGe:
+              compare(op.lane, [](auto a, auto b) { return !(a < b); });
+              break;
+            case CompareOp::kEq:
+              compare(op.lane,
+                      [](auto a, auto b) { return !(a < b) && !(a > b); });
+              break;
+            case CompareOp::kNe:
+              compare(op.lane, [](auto a, auto b) { return a < b || a > b; });
+              break;
+          }
           break;
         case Code::kAnd:
           logic(min);

@@ -39,13 +39,10 @@ namespace sia {
 // NULL-free programs over NULL-free columns run without any mask work.
 class VectorizedFilter {
  public:
-  // The deepest evaluation stack a program may need; deeper (right-deep)
-  // expressions are refused with Unsupported.
-  static constexpr size_t kMaxStack = 64;
-
   // Compiles a bound predicate. Fails on unbound columns, on expressions
   // the binder would reject (arithmetic or comparison over predicates,
-  // logic over scalars) and on programs deeper than kMaxStack.
+  // logic over scalars), and with Unsupported on programs that need an
+  // evaluation stack deeper than 64 slots (right-deep nesting).
   [[nodiscard]] static Result<VectorizedFilter> Compile(const ExprPtr& expr);
 
   // Appends to `out` the indices of all rows of `table` on which the
@@ -77,16 +74,8 @@ class VectorizedFilter {
     kConst,     // push `ival` / `dval`, or NULL when `null`
     kToDouble,  // promote the top int slot to the double lane
     kToTruth,   // the BOOLEAN value on top becomes a truth value
-    kAdd,
-    kSub,
-    kMul,
-    kDiv,
-    kCmpLt,
-    kCmpLe,
-    kCmpGt,
-    kCmpGe,
-    kCmpEq,
-    kCmpNe,
+    kArith,     // `arith` over the top two slots
+    kCompare,   // `compare` over the top two slots
     kAnd,
     kOr,
     kNot,
@@ -99,6 +88,8 @@ class VectorizedFilter {
     uint32_t col = 0;   // kLoad: index into loaded_cols_
     int64_t ival = 0;
     double dval = 0;
+    ArithOp arith = ArithOp::kAdd;
+    CompareOp compare = CompareOp::kEq;
   };
 
   // A loaded column's cells for one block; defined in vector_filter.cc.

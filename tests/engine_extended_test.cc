@@ -3,6 +3,10 @@
 // join fallback.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <utility>
+#include <vector>
+
 #include "catalog/catalog.h"
 #include "engine/executor.h"
 #include "engine/runner.h"
@@ -120,6 +124,59 @@ TEST_F(StarSchemaTest, AggregateAfterJoin) {
   const QueryOutput out = Run(
       "SELECT * FROM fact, dim1 WHERE f_dim1 = d1_id GROUP BY d1_attr");
   EXPECT_EQ(out.row_count, 4u);  // one group per dim1 attr
+}
+
+// --- NULL and DOUBLE cells through Aggregate and Project ----------------
+
+// A nullable INTEGER key k and a nullable DOUBLE x.
+Table NullableKeys(const Schema& schema) {
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  Table t(schema);
+  const Value null_int = Value::Null(DataType::kInteger);
+  const Value null_double = Value::Null(DataType::kDouble);
+  for (const auto& [k, x] : std::vector<std::pair<Value, Value>>{
+           {null_int, Value::Double(1.5)},
+           {Value::Integer(kMin), Value::Double(1.5)},
+           {Value::Integer(kMin), Value::Double(-0.0)},
+           {null_int, Value::Double(0.0)},
+           {Value::Integer(3), null_double}}) {
+    EXPECT_TRUE(t.AppendRow(Tuple({k, x})).ok());
+  }
+  return t;
+}
+
+TEST(NullableAggregateTest, NullKeysFormOneGroupApartFromEveryValue) {
+  Schema s;
+  s.AddColumn({"t", "k", DataType::kInteger, true});
+  s.AddColumn({"t", "x", DataType::kDouble, true});
+  const Table t = NullableKeys(s);
+  Executor executor;
+  executor.RegisterTable("t", &t);
+  // k: NULL, INT64_MIN and 3 are three groups (a NULL key must not
+  // collide with a real INT64_MIN). x groups by value: 1.5, 0 (-0.0 and
+  // 0.0 are equal) and NULL.
+  for (const size_t col : {size_t{0}, size_t{1}}) {
+    auto out = executor.Execute(PlanNode::Aggregate({col}, PlanNode::Scan("t", s)));
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+    EXPECT_EQ(out->row_count, 3u) << "GROUP BY column " << col;
+  }
+}
+
+TEST(NullableAggregateTest, ProjectKeepsNullAndDoubleCells) {
+  Schema s;
+  s.AddColumn({"t", "k", DataType::kInteger, true});
+  s.AddColumn({"t", "x", DataType::kDouble, true});
+  const Table t = NullableKeys(s);
+  Executor executor;
+  executor.RegisterTable("t", &t);
+  // Projecting every column in order must not change a cell.
+  auto scan = executor.Execute(PlanNode::Scan("t", s));
+  auto project =
+      executor.Execute(PlanNode::Project({0, 1}, PlanNode::Scan("t", s)));
+  ASSERT_TRUE(scan.ok() && project.ok());
+  EXPECT_EQ(project->row_count, scan->row_count);
+  EXPECT_EQ(project->content_hash, scan->content_hash);
+  EXPECT_EQ(project->order_hash, scan->order_hash);
 }
 
 // --- Movement rules executed end-to-end ----------------------------------
