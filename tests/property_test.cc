@@ -192,10 +192,10 @@ TEST(PlannerSoundness, PushdownPreservesResultsOnWorkload) {
 // Seeded two-table instances with nullable INTEGER, DATE and DOUBLE
 // columns, duplicate and NULL join keys, and §4.1-grammar predicates
 // (division included) run through the Executor at 1, 2 and 8 threads,
-// with and without pushdown, against a naive nested loop over
-// ir/evaluator — the §5.2 three-valued semantics. Row count and
-// content_hash must match the reference; order_hash must not depend on
-// the thread count.
+// with and without pushdown, as SELECT * and grouped by random columns,
+// against a naive nested loop over ir/evaluator — the §5.2 three-valued
+// semantics. Row count and content_hash must match the reference;
+// order_hash must not depend on the thread count.
 
 // The engine's output digest, restated: a row hash folds each column's
 // 64 bits (NULL as a fixed constant) and content_hash sums row hashes.
