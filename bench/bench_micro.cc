@@ -102,7 +102,8 @@ void BM_GenerateTrueSamples(benchmark::State& state) {
   const Schema s = Abc();
   const ExprPtr p = MotivatingPredicate(s);
   for (auto _ : state) {
-    SampleGenerator gen(p, s, {0, 1});
+    SmtContext ctx;
+    SampleGenerator gen(&ctx, p, s, {0, 1});
     auto samples = gen.GenerateTrue(static_cast<size_t>(state.range(0)));
     benchmark::DoNotOptimize(samples);
   }
@@ -113,7 +114,8 @@ void BM_GenerateFalseSamples(benchmark::State& state) {
   const Schema s = Abc();
   const ExprPtr p = MotivatingPredicate(s);
   for (auto _ : state) {
-    SampleGenerator gen(p, s, {0, 1});
+    SmtContext ctx;
+    SampleGenerator gen(&ctx, p, s, {0, 1});
     auto samples = gen.GenerateFalse(static_cast<size_t>(state.range(0)));
     benchmark::DoNotOptimize(samples);
   }

@@ -38,8 +38,8 @@ EfficacyConfig EfficacyConfig::FromEnv() {
   EfficacyConfig c;
   c.query_count = static_cast<size_t>(
       EnvInt("SIA_BENCH_QUERIES", static_cast<int64_t>(c.query_count)));
-  c.solver_timeout_ms = static_cast<uint32_t>(
-      EnvInt("SIA_BENCH_TIMEOUT_MS", c.solver_timeout_ms));
+  c.per_call_cap_ms = static_cast<uint32_t>(
+      EnvInt("SIA_BENCH_TIMEOUT_MS", c.per_call_cap_ms));
   return c;
 }
 
@@ -92,7 +92,7 @@ bool EmitBenchReport(const std::string& name,
 
 namespace {
 
-SynthesisOptions OptionsFor(Technique t, uint32_t timeout_ms) {
+SynthesisOptions OptionsFor(Technique t, uint32_t cap_ms) {
   SynthesisOptions o;
   switch (t) {
     case Technique::kSia:
@@ -107,8 +107,7 @@ SynthesisOptions OptionsFor(Technique t, uint32_t timeout_ms) {
     case Technique::kTransitiveClosure:
       break;  // not used
   }
-  o.samples.solver_timeout_ms = timeout_ms;
-  o.verify.solver_timeout_ms = timeout_ms;
+  o.budget.per_call_cap_ms = cap_ms;
   return o;
 }
 
@@ -166,9 +165,8 @@ Result<EfficacyRun> RunEfficacyExperiment(const EfficacyConfig& config) {
     SIA_ASSIGN_OR_RETURN(ExprPtr bound, Bind(queries[qi].query.where, joint));
     for (const auto& subset : subsets) {
       // Probe: does an unsatisfaction tuple exist for this subset?
-      SampleGenOptions probe_opts;
-      probe_opts.solver_timeout_ms = config.solver_timeout_ms;
-      SampleGenerator probe(bound, joint, subset, probe_opts);
+      SmtContext probe_ctx(SolverBudget::Unbounded(config.per_call_cap_ms));
+      SampleGenerator probe(&probe_ctx, bound, joint, subset);
       auto unsat = probe.GenerateFalse(1);
       const bool possible = unsat.ok() && !unsat->empty();
 
@@ -202,7 +200,7 @@ Result<EfficacyRun> RunEfficacyExperiment(const EfficacyConfig& config) {
         }
 
         auto synth = Synthesize(bound, joint, subset,
-                                OptionsFor(tech, config.solver_timeout_ms));
+                                OptionsFor(tech, config.per_call_cap_ms));
         if (synth.ok()) {
           rec.stats = synth->stats;
           if (synth->has_predicate() &&

@@ -36,7 +36,7 @@ struct EfficacyConfig {
   std::vector<Technique> techniques = {
       Technique::kSia, Technique::kTransitiveClosure, Technique::kSiaV1,
       Technique::kSiaV2};
-  uint32_t solver_timeout_ms = 2000;
+  uint32_t per_call_cap_ms = kDefaultSolverTimeoutMs;
 
   // Applies SIA_BENCH_QUERIES / SIA_BENCH_TIMEOUT_MS when set.
   static EfficacyConfig FromEnv();

@@ -17,10 +17,10 @@ namespace sia {
 // through an options struct costs nothing for callers that never set it.
 //
 // Deadlines are plain values: copying one shares the same end instant,
-// which is exactly what budget propagation wants — the rewriter hands the
-// same deadline to the synthesizer, the sampler, the verifier, and the
-// solver wrapper, and each derives its per-call timeout from whatever
-// wall-clock budget is *left*, not from a fresh per-component allowance.
+// so a copy never restarts the clock. A synthesis run carries exactly
+// one (inside its SolverBudget), and every solver call of the run derives
+// its timeout from whatever wall-clock budget is *left*, not from a fresh
+// per-component allowance.
 class Deadline {
  public:
   using Clock = std::chrono::steady_clock;
@@ -44,13 +44,6 @@ class Deadline {
     return d;
   }
 
-  // The earlier of the two deadlines (infinite is later than anything).
-  static Deadline Earlier(const Deadline& a, const Deadline& b) {
-    if (a.infinite()) return b;
-    if (b.infinite()) return a;
-    return a.end_ <= b.end_ ? a : b;
-  }
-
   bool infinite() const { return !finite_; }
   bool expired() const { return finite_ && Clock::now() >= end_; }
 
@@ -70,15 +63,16 @@ class Deadline {
   bool finite_ = false;
 };
 
-// Single source of truth for the per-solver-call timeout that three
-// components (sampler, verifier, interval synthesizer) previously each
-// hardcoded independently.
+// Default cap on one solver call, shared by every solver user.
 inline constexpr uint32_t kDefaultSolverTimeoutMs = 2000;
 
 // A solver time budget: an end-to-end wall-clock deadline plus a cap on
-// any single solver call. Per-call timeouts are derived from the
-// *remaining* budget, so a stage that already burned most of the wall
-// clock cannot stall for a full per-call allowance on top of it.
+// any single solver call. It is the only budget a synthesis run carries
+// (SynthesisOptions::budget); the run's SmtContext holds it, so the
+// sampler, the verifier and the interval synthesizer all draw from it.
+// Per-call timeouts are derived from the *remaining* budget, so a stage
+// that already burned most of the wall clock cannot stall for a full
+// per-call allowance on top of it.
 struct SolverBudget {
   Deadline deadline;  // infinite unless a caller set one
   uint32_t per_call_cap_ms = kDefaultSolverTimeoutMs;

@@ -166,9 +166,10 @@ void BackgroundSynthesizer::RunJob(const BackgroundJob& job) {
   Result<LadderRun> run = [&]() -> Result<LadderRun> {
     if (!injected.ok()) return injected;
     RewriteOptions opts = options_.rewrite;
-    // Satellite of the ISSUE: a background job gets its own budget, not
-    // the admitting request's (long-replied, likely exhausted) deadline.
-    opts.deadline = Deadline::FromNowMillis(options_.budget_ms);
+    // A background job gets its own budget, not the admitting request's
+    // (long-replied, likely exhausted) deadline.
+    opts.synthesis.budget.deadline =
+        Deadline::FromNowMillis(options_.budget_ms);
     return RunSynthesisLadder(job.bound, job.joint, job.cols, opts);
   }();
   if (!run.ok()) {

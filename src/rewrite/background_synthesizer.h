@@ -58,8 +58,9 @@ class BackgroundSynthesizer {
       std::function<void(const BackgroundJob& job, const ExprPtr& predicate)>;
 
   struct Options {
-    // Ladder configuration (target table, synthesis budgets, rungs).
-    // Its deadline is ignored: every job gets its own fresh budget.
+    // Ladder configuration (target table, synthesis options). The
+    // deadline of its synthesis.budget is replaced per job by a fresh
+    // one of budget_ms; the per-call cap is kept.
     RewriteOptions rewrite;
     // Per-job wall-clock budget. Background jobs deliberately do NOT
     // inherit the admitting request's deadline — that deadline is

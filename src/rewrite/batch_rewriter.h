@@ -17,10 +17,10 @@ class ThreadPool;
 // 200-query batch): queries are distributed over the pool, one
 // RewriteQuery per worker at a time. Thread safety rests on two rules
 // this driver maintains:
-//   - every Z3 context stays private to one synthesis call (the
-//     synthesizer, sampler, verifier, and interval fallback each
-//     construct their own SmtContext — Z3 contexts are not thread-safe
-//     and are never shared across workers), and
+//   - every Z3 context stays private to one synthesis run (Synthesize
+//     and the interval fallback each construct one SmtContext and lend
+//     it to their sampler and verifier calls — Z3 contexts are not
+//     thread-safe and are never shared across workers or runs), and
 //   - the single shared mutable structure, the RewriteCache, is
 //     single-flight through its kSynthesizing marker: the first worker
 //     to miss on a key claims it (RewriteCache::DecideOrWait) and runs
@@ -28,9 +28,8 @@ class ThreadPool;
 //     duplicating the CEGIS run.
 struct BatchRewriteOptions {
   // Per-query rewrite options. Its `cache` field is overridden with the
-  // `cache` below. Note RewriteOptions::deadline is one absolute
-  // wall-clock budget — under a batch it bounds the whole batch, not
-  // each query.
+  // `cache` below. Note the deadline of synthesis.budget is one absolute
+  // instant — under a batch it bounds the whole batch, not each query.
   RewriteOptions rewrite;
   // Optional cache shared by all workers (and with any later callers).
   RewriteCache* cache = nullptr;

@@ -217,8 +217,7 @@ Result<LadderRun> RunSynthesisLadder(const ExprPtr& bound, const Schema& joint,
                                      const RewriteOptions& options) {
   LadderRun run;
 
-  SynthesisOptions base_opts = options.synthesis;
-  base_opts.deadline = Deadline::Earlier(base_opts.deadline, options.deadline);
+  const SynthesisOptions& base_opts = options.synthesis;
 
   // Adopts a validated predicate as the final run.
   auto adopt = [&](SynthesisResult synth, RewriteRung rung) {
@@ -227,30 +226,24 @@ Result<LadderRun> RunSynthesisLadder(const ExprPtr& bound, const Schema& joint,
     run.rung = rung;
   };
 
-  // --- Rungs 1-2: CEGIS synthesis, then a reseeded retry with halved
-  // budgets ---
+  // --- Rungs 1-2: CEGIS synthesis, then a reseeded retry with a halved
+  // per-call cap ---
   struct RungPlan {
     RewriteRung rung;
     SynthesisOptions opts;
   };
-  std::vector<RungPlan> plans;
-  plans.push_back({RewriteRung::kFull, base_opts});
-  if (options.enable_retry) {
-    SynthesisOptions retry = base_opts;
-    // A different solver seed explores a different sample trajectory;
-    // halved per-call caps and iteration count keep the retry from
-    // doubling the worst-case latency.
-    retry.samples.random_seed = base_opts.samples.random_seed + 0x9e37;
-    retry.samples.solver_timeout_ms =
-        std::max<uint32_t>(1, base_opts.samples.solver_timeout_ms / 2);
-    retry.verify.solver_timeout_ms =
-        std::max<uint32_t>(1, base_opts.verify.solver_timeout_ms / 2);
-    retry.max_iterations = std::max(1, base_opts.max_iterations / 2);
-    plans.push_back({RewriteRung::kRetry, retry});
-  }
+  // A different solver seed explores a different sample trajectory; a
+  // halved per-call cap and iteration count keep the retry from doubling
+  // the worst-case latency.
+  SynthesisOptions retry = base_opts;
+  retry.samples.random_seed = base_opts.samples.random_seed + 0x9e37;
+  retry.budget = base_opts.budget.WithCapHalved();
+  retry.max_iterations = std::max(1, base_opts.max_iterations / 2);
+  const RungPlan plans[] = {{RewriteRung::kFull, base_opts},
+                            {RewriteRung::kRetry, retry}};
 
   for (const RungPlan& plan : plans) {
-    if (plan.rung != RewriteRung::kFull && base_opts.deadline.expired()) {
+    if (plan.rung != RewriteRung::kFull && base_opts.budget.Exhausted()) {
       SIA_COUNTER_INC("rewrite.degraded.rung_skipped_deadline");
       run.degradation.push_back(std::string(RewriteRungName(plan.rung)) +
                                 " rung skipped: deadline exhausted");
@@ -298,40 +291,35 @@ Result<LadderRun> RunSynthesisLadder(const ExprPtr& bound, const Schema& joint,
   // --- Rung 3: exact single-column interval synthesis. Much cheaper
   // than the learning loop (two OMT queries per column) and immune to
   // SVM/learner faults, at the cost of single-column box predicates. ---
-  if (options.enable_interval_fallback) {
-    SIA_TRACE_SPAN("rewrite.rung.interval");
-    for (const size_t c : cols) {
-      if (base_opts.deadline.expired()) {
-        SIA_COUNTER_INC("rewrite.degraded.rung_skipped_deadline");
-        run.degradation.push_back("interval rung skipped: deadline exhausted");
-        break;
-      }
-      const DataType type = joint.column(c).type;
-      if (!IsIntegral(type) || type == DataType::kBoolean) continue;
-      IntervalOptions iopts;
-      iopts.solver_timeout_ms = base_opts.samples.solver_timeout_ms;
-      iopts.deadline = base_opts.deadline;
-      auto iv = SynthesizeInterval(bound, joint, c, iopts);
-      if (!iv.ok()) {
-        if (!IsDegradable(iv.status())) return iv.status();
-        SIA_COUNTER_INC("rewrite.degraded.interval_failed");
-        run.degradation.push_back(
-            "interval synthesis on '" + joint.column(c).QualifiedName() +
-            "' failed: " + iv.status().ToString());
-        continue;
-      }
-      if (!iv->has_predicate()) continue;
-      const Status valid = ValidateLearned(iv->predicate, joint);
-      if (!valid.ok()) {
-        SIA_COUNTER_INC("rewrite.degraded.interval_discarded");
-        run.degradation.push_back(
-            "interval predicate on '" + joint.column(c).QualifiedName() +
-            "' discarded: " + valid.ToString());
-        continue;
-      }
-      adopt(std::move(*iv), RewriteRung::kInterval);
-      return run;
+  SIA_TRACE_SPAN("rewrite.rung.interval");
+  for (const size_t c : cols) {
+    if (base_opts.budget.Exhausted()) {
+      SIA_COUNTER_INC("rewrite.degraded.rung_skipped_deadline");
+      run.degradation.push_back("interval rung skipped: deadline exhausted");
+      break;
     }
+    const DataType type = joint.column(c).type;
+    if (!IsIntegral(type) || type == DataType::kBoolean) continue;
+    auto iv = SynthesizeInterval(bound, joint, c, base_opts.budget);
+    if (!iv.ok()) {
+      if (!IsDegradable(iv.status())) return iv.status();
+      SIA_COUNTER_INC("rewrite.degraded.interval_failed");
+      run.degradation.push_back(
+          "interval synthesis on '" + joint.column(c).QualifiedName() +
+          "' failed: " + iv.status().ToString());
+      continue;
+    }
+    if (!iv->has_predicate()) continue;
+    const Status valid = ValidateLearned(iv->predicate, joint);
+    if (!valid.ok()) {
+      SIA_COUNTER_INC("rewrite.degraded.interval_discarded");
+      run.degradation.push_back(
+          "interval predicate on '" + joint.column(c).QualifiedName() +
+          "' discarded: " + valid.ToString());
+      continue;
+    }
+    adopt(std::move(*iv), RewriteRung::kInterval);
+    return run;
   }
 
   // --- Rung 4: every rung failed — run the original query unchanged.

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "catalog/catalog.h"
-#include "common/deadline.h"
 #include "common/status.h"
 #include "parser/ast.h"
 #include "synth/synthesizer.h"
@@ -24,15 +23,9 @@ struct RewriteOptions {
   // Optional explicit Cols' (qualified or bare column names). When empty,
   // every `target_table` column referenced by the WHERE clause is used.
   std::vector<std::string> target_columns;
+  // Synthesis configuration. Its `budget` is the rewrite's only time
+  // budget, shared by every rung of the degradation ladder.
   SynthesisOptions synthesis;
-  // End-to-end wall-clock budget for the whole rewrite, shared by every
-  // rung of the degradation ladder (infinite by default). Merged into
-  // the synthesis deadline as the earlier of the two.
-  Deadline deadline;
-  // Degradation ladder toggles. With both off a failed synthesis drops
-  // straight to "no rewrite".
-  bool enable_retry = true;              // rung 2: reseeded, budget-halved
-  bool enable_interval_fallback = true;  // rung 3: single-column interval
   // Optional shared synthesis cache (rewrite/rewrite_cache.h), keyed by
   // (bound WHERE, Cols'). When set, the call consults it with the
   // blocking RewriteCache::DecideOrWait: a hit is served from the cache;
@@ -115,7 +108,7 @@ struct LadderRun {
 };
 
 // Runs the full degradation ladder (CEGIS → reseeded retry → interval
-// fallback) for one key, honoring options.deadline — the background
+// fallback) for one key, honoring options.synthesis.budget — the background
 // synthesizer's entry point, also the core of RewriteQuery. Never fails
 // a query for synthesis trouble; non-degradable errors (malformed
 // input) still surface.

@@ -27,6 +27,7 @@ Result<z3::check_result> SmtContext::Check(z3::solver* solver,
                                            std::string_view stage) {
   SIA_TRACE_SPAN("smt.check");
   SIA_COUNTER_INC("smt.check.calls");
+  ++check_calls_;
   SIA_FAULT_INJECT("smt.check");
   {
     const Status remaining = budget_.RequireRemaining(stage);
@@ -56,6 +57,7 @@ Result<z3::check_result> SmtContext::CheckOptimize(z3::optimize* opt,
                                                    std::string_view stage) {
   SIA_TRACE_SPAN("smt.optimize");
   SIA_COUNTER_INC("smt.optimize.calls");
+  ++check_calls_;
   SIA_FAULT_INJECT("smt.optimize");
   {
     const Status remaining = budget_.RequireRemaining(stage);

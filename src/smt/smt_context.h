@@ -14,8 +14,14 @@
 
 namespace sia {
 
-// Owns a z3::context plus the variable caches for one synthesis run.
-// Z3 contexts are not thread-safe; create one SmtContext per thread.
+// Owns a z3::context, the variable caches and the solver budget of one
+// synthesis run: Synthesize builds one and lends it to its sampler and
+// verifier calls, SynthesizeInterval one for its OMT queries and hole
+// check, so every solver call of a run shares one context and draws
+// from one budget. Z3
+// contexts are not thread-safe, and a context's history steers the
+// models it returns, so a context belongs to exactly one run — never to
+// a thread or a process, or answers would depend on scheduling.
 //
 // Naming scheme: column i gets value variable "c<i>" (Int sort for
 // INTEGER/DATE/TIMESTAMP, Real for DOUBLE) and null-flag "n<i>" (Bool).
@@ -23,18 +29,19 @@ namespace sia {
 // keyed by the subexpression's printed form.
 class SmtContext {
  public:
+  // Every Check/CheckOptimize call draws from `budget`; the default is
+  // unbounded with the shared per-call cap.
   SmtContext() = default;
+  explicit SmtContext(const SolverBudget& budget) : budget_(budget) {}
 
   SmtContext(const SmtContext&) = delete;
   SmtContext& operator=(const SmtContext&) = delete;
 
   z3::context& z3() { return ctx_; }
 
-  // Attaches the time budget every subsequent Check/CheckOptimize call
-  // draws from. Defaults to an unbounded budget with the shared per-call
-  // cap, so contexts used outside the rewrite pipeline behave as before.
-  void set_budget(const SolverBudget& budget) { budget_ = budget; }
-  const SolverBudget& budget() const { return budget_; }
+  // Check/CheckOptimize calls entered so far, including ones refused by
+  // the budget or a fault (SynthesisStats::solver_calls).
+  size_t check_calls() const { return check_calls_; }
 
   // Runs `solver->check()` under the remaining budget: fires the
   // `smt.check` fault point, refuses with kTimeout (naming `stage`) when
@@ -68,6 +75,7 @@ class SmtContext {
  private:
   z3::context ctx_;
   SolverBudget budget_;
+  size_t check_calls_ = 0;
   std::map<std::string, std::unique_ptr<z3::expr>> cache_;
   std::map<std::string, std::unique_ptr<z3::expr>> aux_;
 

@@ -51,7 +51,7 @@ ExprPtr BoundLiteral(const Schema& schema, size_t col, int64_t v) {
 
 Result<SynthesisResult> SynthesizeInterval(const ExprPtr& predicate,
                                            const Schema& schema, size_t col,
-                                           const IntervalOptions& options) {
+                                           const SolverBudget& budget) {
   SIA_TRACE_SPAN("synth.interval");
   SIA_COUNTER_INC("synth.interval.runs");
   const std::vector<size_t> used = CollectColumnIndices(predicate);
@@ -62,14 +62,12 @@ Result<SynthesisResult> SynthesizeInterval(const ExprPtr& predicate,
     return Status::Unsupported("interval synthesis requires an integral column");
   }
 
-  const SolverBudget budget{options.deadline, options.solver_timeout_ms};
   SIA_RETURN_IF_ERROR(budget.RequireRemaining("synth.interval"));
 
   SynthesisResult result;
   Stopwatch sw;
 
-  SmtContext ctx;
-  ctx.set_budget(budget);
+  SmtContext ctx(budget);
   Encoder encoder(&ctx, schema, NullHandling::kIgnore);
   SIA_ASSIGN_OR_RETURN(z3::expr p_true, encoder.EncodeTrue(predicate));
   z3::expr var = encoder.ColumnVar(col);
@@ -79,24 +77,24 @@ Result<SynthesisResult> SynthesizeInterval(const ExprPtr& predicate,
   SIA_ASSIGN_OR_RETURN(const std::optional<int64_t> hi,
                        Optimize(&ctx, p_true, var, /*maximize=*/true));
   result.stats.generation_ms = sw.ElapsedMillis();
-  result.stats.solver_calls = 2;
 
   // Unsatisfiable predicate: both queries return UNSAT; FALSE is optimal.
   {
     z3::solver solver(ctx.z3());
     solver.add(p_true);
-    ++result.stats.solver_calls;
     SIA_ASSIGN_OR_RETURN(z3::check_result sat_res,
                          ctx.Check(&solver, nullptr, "synth.interval"));
     if (sat_res == z3::unsat) {
       result.status = SynthesisStatus::kOptimal;
       result.predicate = Expr::BoolLit(false);
+      result.stats.solver_calls = ctx.check_calls();
       return result;
     }
   }
 
   if (!lo.has_value() && !hi.has_value()) {
     result.status = SynthesisStatus::kNone;  // only TRUE is valid
+    result.stats.solver_calls = ctx.check_calls();
     return result;
   }
 
@@ -121,13 +119,10 @@ Result<SynthesisResult> SynthesizeInterval(const ExprPtr& predicate,
   // Optimality: the hull is optimal iff no value inside it is an
   // unsatisfaction tuple (Lemma 4) — one ∃∀ query.
   sw.Reset();
-  SampleGenOptions gen_opts;
-  gen_opts.solver_timeout_ms = options.solver_timeout_ms;
-  gen_opts.deadline = options.deadline;
-  SampleGenerator gen(predicate, schema, {col}, gen_opts);
+  SampleGenerator gen(&ctx, predicate, schema, {col});
   auto hole = gen.CounterFalse(result.predicate, 1);
   result.stats.validation_ms = sw.ElapsedMillis();
-  result.stats.solver_calls += gen.solver_calls();
+  result.stats.solver_calls = ctx.check_calls();
   if (hole.ok() && hole->empty() && gen.exhausted()) {
     result.status = SynthesisStatus::kOptimal;
   } else {

@@ -24,23 +24,16 @@ namespace sia {
 // bench_ablation_interval. It deliberately only handles one column;
 // multi-column optimal reductions are general polytopes and remain the
 // learning loop's domain.
-struct IntervalOptions {
-  // Deprecated alias: per-solver-call cap; prefer `deadline` for
-  // end-to-end budgets. Both are folded into a SolverBudget per check.
-  uint32_t solver_timeout_ms = kDefaultSolverTimeoutMs;
-  // End-to-end wall-clock budget (infinite by default). Expiry surfaces
-  // as StatusCode::kTimeout naming stage "synth.interval".
-  Deadline deadline;
-};
-
+//
 // `col` must be referenced by `predicate` (bound against `schema`) and
 // have an integral type. Returns kNone when the feasible set is
 // unbounded on both sides (only TRUE is valid), an equality/interval
-// predicate otherwise.
+// predicate otherwise. The OMT queries and the hole check share one
+// context under `budget`; an expired budget surfaces as
+// StatusCode::kTimeout naming stage "synth.interval".
 [[nodiscard]] Result<SynthesisResult> SynthesizeInterval(const ExprPtr& predicate,
                                            const Schema& schema, size_t col,
-                                           const IntervalOptions& options =
-                                               IntervalOptions());
+                                           const SolverBudget& budget = {});
 
 }  // namespace sia
 

@@ -48,7 +48,7 @@ void CollectConsts(const z3::expr& e, std::set<unsigned>* visited,
 
 }  // namespace
 
-SampleGenerator::SampleGenerator(const ExprPtr& predicate,
+SampleGenerator::SampleGenerator(SmtContext* ctx, const ExprPtr& predicate,
                                  const Schema& schema,
                                  std::vector<size_t> cols,
                                  const SampleGenOptions& options)
@@ -56,13 +56,13 @@ SampleGenerator::SampleGenerator(const ExprPtr& predicate,
       schema_(schema),
       cols_(std::move(cols)),
       options_(options),
-      encoder_(&ctx_, schema, NullHandling::kIgnore) {
+      ctx_(ctx),
+      encoder_(ctx, schema, NullHandling::kIgnore) {
   ScanConstants(predicate_, &const_lo_, &const_hi_, &has_consts_);
-  ctx_.set_budget(SolverBudget{options_.deadline, options_.solver_timeout_ms});
 }
 
 Result<z3::expr> SampleGenerator::NotOld(const std::vector<Tuple>& seen) {
-  z3::expr acc = ctx_.z3().bool_val(true);
+  z3::expr acc = ctx_->z3().bool_val(true);
   for (const Tuple& t : seen) {
     SIA_ASSIGN_OR_RETURN(z3::expr eq, encoder_.TupleEquals(cols_, t));
     acc = acc && !eq;
@@ -72,7 +72,7 @@ Result<z3::expr> SampleGenerator::NotOld(const std::vector<Tuple>& seen) {
 
 std::vector<z3::expr> SampleGenerator::HintLayers() {
   std::vector<z3::expr> layers;
-  z3::context& z = ctx_.z3();
+  z3::context& z = ctx_->z3();
   if (has_consts_) {
     // Layer 0: tight box around the predicate's constants.
     const int64_t lo = const_lo_ - options_.domain_pad;
@@ -114,7 +114,7 @@ Result<std::vector<Tuple>> SampleGenerator::Sample(
   exhausted_ = false;
   deadline_expired_ = false;
   std::vector<Tuple> produced;
-  z3::context& z = ctx_.z3();
+  z3::context& z = ctx_->z3();
 
   z3::solver solver(z);
   z3::params params(z);
@@ -149,8 +149,7 @@ Result<std::vector<Tuple>> SampleGenerator::Sample(
       solver.push();
       // Apply hint layers `layer..end` (dropping the strongest first).
       for (size_t h = layer; h < hints.size(); ++h) solver.add(hints[h]);
-      ++solver_calls_;
-      auto checked = ctx_.Check(&solver, &params, stage);
+      auto checked = ctx_->Check(&solver, &params, stage);
       if (!checked.ok()) {
         solver.pop();
         if (checked.status().code() == StatusCode::kTimeout) {
@@ -206,7 +205,7 @@ Result<z3::expr> SampleGenerator::BuildUnsatCore() {
     keep.insert(encoder_.ColumnVar(c).decl().name().str());
   }
 
-  z3::expr_vector bound(ctx_.z3());
+  z3::expr_vector bound(ctx_->z3());
   for (const z3::expr& c : consts) {
     if (!keep.contains(c.decl().name().str())) bound.push_back(c);
   }

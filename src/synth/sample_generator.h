@@ -7,7 +7,6 @@
 
 #include <z3++.h>
 
-#include "common/deadline.h"
 #include "common/status.h"
 #include "ir/expr.h"
 #include "smt/encoder.h"
@@ -17,16 +16,9 @@
 
 namespace sia {
 
-// Options controlling solver-backed sample generation.
+// Sampling heuristics (paper §5.3). The time budget is not here: every
+// check draws from the budget of the SmtContext the generator borrows.
 struct SampleGenOptions {
-  // Deprecated alias: the per-solver-call cap, kept so existing callers
-  // and benches compile; prefer setting `deadline` for end-to-end
-  // budgets. Folded with `deadline` into the SolverBudget every check()
-  // call draws from.
-  uint32_t solver_timeout_ms = kDefaultSolverTimeoutMs;
-  // End-to-end wall-clock budget for the whole generator (infinite by
-  // default); per-call solver timeouts never exceed what remains of it.
-  Deadline deadline;
   uint32_t random_seed = 7;
   // Domain box padding applied around the constants found in the
   // predicate (paper §5.3 "additional heuristics"): samples are first
@@ -38,8 +30,9 @@ struct SampleGenOptions {
 
 // Generates satisfaction tuples (TRUE samples), unsatisfaction tuples
 // (FALSE samples), and the two kinds of counter-examples for one
-// (predicate, Cols') pair, sharing a Z3 context across calls so that the
-// iterative learning loop is incremental.
+// (predicate, Cols') pair. It borrows the synthesis run's SmtContext, so
+// its checks share one Z3 context (and one budget) with the run's
+// verifier calls, and the iterative learning loop is incremental.
 //
 // All methods return at most `count` samples; fewer (possibly zero) when
 // the space is exhausted or the solver times out. Duplicates are excluded
@@ -49,9 +42,10 @@ struct SampleGenOptions {
 class SampleGenerator {
  public:
   // `predicate` must be bound against `schema`. `cols` is Cols' — the
-  // target column subset, given as schema indices (sorted).
-  SampleGenerator(const ExprPtr& predicate, const Schema& schema,
-                  std::vector<size_t> cols,
+  // target column subset, given as schema indices (sorted). `ctx` is
+  // borrowed and must outlive the generator.
+  SampleGenerator(SmtContext* ctx, const ExprPtr& predicate,
+                  const Schema& schema, std::vector<size_t> cols,
                   const SampleGenOptions& options = SampleGenOptions());
 
   // TRUE samples: models of  p ∧ NotOld  projected onto Cols'.
@@ -81,9 +75,6 @@ class SampleGenerator {
   // which shows up as a plain short return). Counterpart of exhausted().
   bool deadline_expired() const { return deadline_expired_; }
 
-  // Total solver check() calls issued (efficiency accounting).
-  size_t solver_calls() const { return solver_calls_; }
-
   const std::vector<size_t>& cols() const { return cols_; }
 
  private:
@@ -109,14 +100,13 @@ class SampleGenerator {
   std::vector<size_t> cols_;
   SampleGenOptions options_;
 
-  SmtContext ctx_;
+  SmtContext* ctx_;
   Encoder encoder_;
 
   std::vector<Tuple> seen_true_;
   std::vector<Tuple> seen_false_;
   bool exhausted_ = false;
   bool deadline_expired_ = false;
-  size_t solver_calls_ = 0;
 
   // Cached constant range scanned from the predicate.
   int64_t const_lo_ = 0;

@@ -10,6 +10,8 @@
 #include "ir/simplify.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "smt/smt_context.h"
+#include "synth/verifier.h"
 
 namespace sia {
 
@@ -73,46 +75,307 @@ ExprPtr LearnedToExpr(const LearnedPredicate& lp, const Schema& schema) {
   return Expr::Or(disjuncts);
 }
 
-// Double-reports the run's SynthesisStats onto the metrics registry when
-// the run returns (any path — the destructor fires on error returns too,
-// reporting whatever partial stats accrued). The struct remains the API;
-// this bridge is what keeps bench JSON and --metrics-out snapshots from
-// ever disagreeing (see DESIGN.md, "Observability").
-class StatsBridge {
- public:
-  explicit StatsBridge(const SynthesisResult& result) : result_(result) {}
+ExprPtr ConjunctionToExpr(const std::vector<LearnedPredicate>& conjuncts,
+                          const Schema& schema) {
+  std::vector<ExprPtr> parts;
+  parts.reserve(conjuncts.size());
+  for (const LearnedPredicate& lp : conjuncts) {
+    parts.push_back(LearnedToExpr(lp, schema));
+  }
+  return Expr::And(parts);
+}
 
-  StatsBridge(const StatsBridge&) = delete;
-  StatsBridge& operator=(const StatsBridge&) = delete;
-
-  ~StatsBridge() {
-    if (!obs::MetricsRegistry::Enabled()) return;
-    const SynthesisStats& stats = result_.stats;
-    obs::IncrementCounter("synth.runs");
-    obs::IncrementCounter("synth.iterations",
-                          static_cast<uint64_t>(std::max(0, stats.iterations)));
-    obs::IncrementCounter("synth.solver_calls",
-                          static_cast<uint64_t>(stats.solver_calls));
-    obs::IncrementCounter("synth.true_samples",
-                          static_cast<uint64_t>(stats.true_samples));
-    obs::IncrementCounter("synth.false_samples",
-                          static_cast<uint64_t>(stats.false_samples));
-    obs::RecordHistogram("synth.generation_ms", stats.generation_ms);
-    obs::RecordHistogram("synth.learning_ms", stats.learning_ms);
-    obs::RecordHistogram("synth.validation_ms", stats.validation_ms);
-    obs::IncrementCounter(std::string("synth.status.") +
-                          SynthesisStatusName(result_.status));
-    if (result_.deadline_expired) {
-      obs::IncrementCounter("synth.deadline_expired");
+// Drops every conjunct the remaining ones already imply. The result is
+// the same filter (a row passes iff it passed before), with fewer terms
+// for the engine to evaluate on every row: the loop keeps adding
+// halfplanes while it tightens p₁, and once a tighter bound arrives the
+// earlier ones are dead weight. Each check runs in the run's context
+// and draws from its budget; pruning is an optimization, so a check
+// that fails (budget spent, injected fault) stops it and keeps the rest.
+void DropImpliedConjuncts(SmtContext* ctx, const Schema& schema,
+                          std::vector<LearnedPredicate>* conjuncts) {
+  for (size_t i = 0; i < conjuncts->size() && conjuncts->size() > 1;) {
+    std::vector<LearnedPredicate> rest = *conjuncts;
+    rest.erase(rest.begin() + i);
+    auto verdict =
+        VerifyImplies(ctx, ConjunctionToExpr(rest, schema),
+                      LearnedToExpr((*conjuncts)[i], schema), schema);
+    if (!verdict.ok()) return;
+    if (*verdict == VerifyResult::kValid) {
+      *conjuncts = std::move(rest);
+    } else {
+      ++i;
     }
-    if (result_.solver_gave_up) {
-      obs::IncrementCounter("synth.solver_gave_up");
+  }
+}
+
+// Double-reports the run's SynthesisStats onto the metrics registry,
+// once per run and on error paths too (with whatever partial stats
+// accrued). The struct remains the API; this bridge is what keeps bench
+// JSON and --metrics-out snapshots from ever disagreeing (see DESIGN.md,
+// "Observability").
+void ReportStats(const SynthesisResult& result) {
+  if (!obs::MetricsRegistry::Enabled()) return;
+  const SynthesisStats& stats = result.stats;
+  obs::IncrementCounter("synth.runs");
+  obs::IncrementCounter("synth.iterations",
+                        static_cast<uint64_t>(std::max(0, stats.iterations)));
+  obs::IncrementCounter("synth.solver_calls",
+                        static_cast<uint64_t>(stats.solver_calls));
+  obs::IncrementCounter("synth.true_samples",
+                        static_cast<uint64_t>(stats.true_samples));
+  obs::IncrementCounter("synth.false_samples",
+                        static_cast<uint64_t>(stats.false_samples));
+  obs::RecordHistogram("synth.generation_ms", stats.generation_ms);
+  obs::RecordHistogram("synth.learning_ms", stats.learning_ms);
+  obs::RecordHistogram("synth.validation_ms", stats.validation_ms);
+  obs::IncrementCounter(std::string("synth.status.") +
+                        SynthesisStatusName(result.status));
+  if (result.deadline_expired) {
+    obs::IncrementCounter("synth.deadline_expired");
+  }
+  if (result.solver_gave_up) {
+    obs::IncrementCounter("synth.solver_gave_up");
+  }
+}
+
+// The CEGIS loop of one run (Alg. 1), filling `result`. Every solver
+// call goes through `ctx`, so the run shares one context and one budget.
+// Budget expiry ends the run gracefully with a partial result; any other
+// error is returned.
+Status RunCegis(const ExprPtr& predicate, const Schema& schema,
+                const std::vector<size_t>& cols,
+                const SynthesisOptions& options, SmtContext* ctx,
+                SynthesisResult* result) {
+  SampleGenerator gen(ctx, predicate, schema, cols, options.samples);
+
+  // Converts a deadline-expiry Status from `stage` into a graceful
+  // partial result; any other error propagates to the caller.
+  auto note_timeout = [result](const Status& st, const char* stage) {
+    if (st.code() != StatusCode::kTimeout) return false;
+    result->deadline_expired = true;
+    result->timeout_stage = stage;
+    result->solver_gave_up = true;
+    return true;
+  };
+
+  // --- Stage 1: initial training samples (§5.3) ---
+  Stopwatch sw;
+  auto ts_r = gen.GenerateTrue(options.initial_true_samples);
+  result->stats.generation_ms += sw.ElapsedMillis();
+  if (!ts_r.ok()) {
+    if (note_timeout(ts_r.status(), "synth.sample")) return Status::OK();
+    return ts_r.status();
+  }
+  std::vector<Tuple> ts = std::move(*ts_r);
+  const bool true_exhausted = gen.exhausted();
+  if (gen.deadline_expired()) {
+    result->deadline_expired = true;
+    result->timeout_stage = "synth.sample";
+  }
+
+  if (ts.empty()) {
+    if (true_exhausted) {
+      // p is unsatisfiable: FALSE is the optimal reduction.
+      result->status = SynthesisStatus::kOptimal;
+      result->predicate = Expr::BoolLit(false);
+      return Status::OK();
+    }
+    result->status = SynthesisStatus::kNone;  // solver budget exceeded
+    result->solver_gave_up = true;
+    return Status::OK();
+  }
+  if (true_exhausted) {
+    // Finite satisfaction space: the disjunction of per-sample equality
+    // constraints is the strongest valid reduction (§5.3).
+    result->status = SynthesisStatus::kOptimal;
+    result->predicate = EqualityDisjunction(ts, cols, schema);
+    result->stats.true_samples = ts.size();
+    return Status::OK();
+  }
+
+  sw.Reset();
+  auto fs_r = gen.GenerateFalse(options.initial_false_samples);
+  result->stats.generation_ms += sw.ElapsedMillis();
+  if (!fs_r.ok()) {
+    result->stats.true_samples = ts.size();
+    if (note_timeout(fs_r.status(), "synth.sample")) return Status::OK();
+    return fs_r.status();
+  }
+  std::vector<Tuple> fs = std::move(*fs_r);
+  const bool false_exhausted = gen.exhausted();
+  if (gen.deadline_expired()) {
+    result->deadline_expired = true;
+    result->timeout_stage = "synth.sample";
+  }
+
+  if (fs.empty()) {
+    // No unsatisfaction tuple exists (TRUE is the only valid & optimal
+    // reduction) or the solver gave up: either way there is no useful
+    // predicate — the query is not "symbolically relevant" (§6.2). The
+    // two cases differ for the degradation ladder, though: only the
+    // gave-up one is worth retrying.
+    result->solver_gave_up = !false_exhausted;
+    result->status = SynthesisStatus::kNone;
+    result->stats.true_samples = ts.size();
+    return Status::OK();
+  }
+
+  // --- Stage 2: counter-example guided learning (Alg. 1) ---
+  ExprPtr accumulated;  // p₁: conjunction of verified learned predicates
+  bool proved_optimal = false;
+
+  TrainingSet data;
+  data.true_samples = std::move(ts);
+  data.false_samples = std::move(fs);
+
+  // FALSE samples already rejected by the accumulated conjunction are
+  // settled: the next conjunct does not need to reject them again, and
+  // keeping them in the SVM problem drags the separator back toward
+  // directions p₁ already covers. Learn therefore trains against the
+  // *active* FALSE set (all of them while p₁ = TRUE).
+  auto active_false = [&]() {
+    std::vector<Tuple> active;
+    for (const Tuple& f : data.false_samples) {
+      bool rejected = false;
+      for (const LearnedPredicate& lp : result->conjuncts) {
+        if (!lp.Accepts(f)) {
+          rejected = true;
+          break;
+        }
+      }
+      if (!rejected) active.push_back(f);
+    }
+    return active;
+  };
+
+  int iteration = 0;
+  for (; iteration < options.max_iterations; ++iteration) {
+    SIA_TRACE_SPAN("synth.iteration");
+    // Learn (Alg. 2).
+    sw.Reset();
+    TrainingSet learn_set;
+    learn_set.true_samples = data.true_samples;
+    learn_set.false_samples = active_false();
+    auto learned = Learn(learn_set, cols, options.learn);
+    result->stats.learning_ms += sw.ElapsedMillis();
+    if (!learned.ok()) return learned.status();
+    ExprPtr p2 = LearnedToExpr(*learned, schema);
+
+    // Verify p ⟹ p₂ (three-valued logic).
+    sw.Reset();
+    auto verdict = VerifyImplies(ctx, predicate, p2, schema);
+    result->stats.validation_ms += sw.ElapsedMillis();
+    if (!verdict.ok()) {
+      // Deadline spent mid-loop: keep whatever is already proved valid.
+      if (note_timeout(verdict.status(), "verify.check")) break;
+      return verdict.status();
+    }
+
+    if (*verdict == VerifyResult::kUnknown) {
+      // Solver budget exceeded mid-loop; keep whatever is already proved.
+      result->solver_gave_up = true;
+      break;
+    }
+
+    if (*verdict == VerifyResult::kValid) {
+      // p₃ ← p₁ ∧ p₂, dropping conjuncts the new one subsumes: when both
+      // are single halfplanes with the same direction, the one with the
+      // smaller constant is strictly stronger (coeff·x + c > 0 accepts
+      // fewer tuples for smaller c). Without this the bisection dynamics
+      // of the loop leave a chain of superseded bounds in the output.
+      const bool single = learned->models.size() == 1;
+      if (single) {
+        const LinearForm& fresh = learned->models[0];
+        std::erase_if(result->conjuncts, [&](const LearnedPredicate& old) {
+          return old.models.size() == 1 &&
+                 old.models[0].columns == fresh.columns &&
+                 old.models[0].coeffs == fresh.coeffs &&
+                 old.models[0].constant >= fresh.constant;
+        });
+      }
+      result->conjuncts.push_back(std::move(*learned));
+      accumulated = ConjunctionToExpr(result->conjuncts, schema);
+
+      sw.Reset();
+      auto fs1 = gen.CounterFalse(accumulated,
+                                  options.samples_per_iteration);
+      result->stats.generation_ms += sw.ElapsedMillis();
+      if (!fs1.ok()) {
+        if (note_timeout(fs1.status(), "verify.cex")) {
+          ++iteration;
+          break;
+        }
+        return fs1.status();
+      }
+      if (fs1->empty()) {
+        if (!gen.exhausted()) {
+          // Solver budget exceeded: p₃ is valid, optimality unknown.
+          result->solver_gave_up = true;
+          ++iteration;
+          break;
+        }
+        // The generator's NotOld constraints hide previously seen
+        // unsatisfaction tuples, so exhaustion alone certifies only that
+        // no NEW counter-example exists. Optimality (Lemma 4) further
+        // requires that p₃ rejects every unsatisfaction tuple already
+        // seen; if any is still accepted, keep learning — the active-
+        // FALSE filter hands the learner exactly those stragglers.
+        const bool rejects_all_seen = std::all_of(
+            data.false_samples.begin(), data.false_samples.end(),
+            [&](const Tuple& f) {
+              return std::any_of(result->conjuncts.begin(),
+                                 result->conjuncts.end(),
+                                 [&](const LearnedPredicate& lp) {
+                                   return !lp.Accepts(f);
+                                 });
+            });
+        if (rejects_all_seen) {
+          proved_optimal = true;  // Lemma 4
+          ++iteration;
+          break;
+        }
+        continue;
+      }
+      data.false_samples.insert(data.false_samples.end(), fs1->begin(),
+                                fs1->end());
+    } else {
+      // Invalid: find TRUE counter-examples that p₂ wrongly rejects.
+      sw.Reset();
+      auto ts1 = gen.CounterTrue(p2, options.samples_per_iteration);
+      result->stats.generation_ms += sw.ElapsedMillis();
+      if (!ts1.ok()) {
+        if (note_timeout(ts1.status(), "verify.cex")) break;
+        return ts1.status();
+      }
+      if (ts1->empty()) {
+        // Verify's 3VL witness is NULL-only (not reachable with concrete
+        // non-NULL samples) or the solver gave up: no progress possible.
+        result->solver_gave_up = true;
+        break;
+      }
+      data.true_samples.insert(data.true_samples.end(), ts1->begin(),
+                               ts1->end());
     }
   }
 
- private:
-  const SynthesisResult& result_;
-};
+  result->stats.iterations = iteration;
+  result->stats.true_samples = data.true_samples.size();
+  result->stats.false_samples = data.false_samples.size();
+
+  if (accumulated == nullptr) {
+    result->status = SynthesisStatus::kNone;
+    return Status::OK();
+  }
+  result->status = proved_optimal ? SynthesisStatus::kOptimal
+                                  : SynthesisStatus::kValid;
+  sw.Reset();
+  DropImpliedConjuncts(ctx, schema, &result->conjuncts);
+  result->stats.validation_ms += sw.ElapsedMillis();
+  result->predicate = PrettifyDates(
+      Simplify(ConjunctionToExpr(result->conjuncts, schema)), schema);
+  return Status::OK();
+}
 
 }  // namespace
 
@@ -133,254 +396,13 @@ Result<SynthesisResult> Synthesize(const ExprPtr& predicate,
   }
 
   SIA_TRACE_SPAN("synth.run");
+  SmtContext ctx(options.budget);
   SynthesisResult result;
-  StatsBridge stats_bridge(result);
-
-  // One shared wall-clock budget: the run-level deadline is merged into
-  // the sampler's and verifier's own (the earlier wins), so every solver
-  // call below draws down the same clock.
-  SampleGenOptions gen_opts = options.samples;
-  gen_opts.deadline = Deadline::Earlier(gen_opts.deadline, options.deadline);
-  VerifyOptions verify_opts = options.verify;
-  verify_opts.deadline =
-      Deadline::Earlier(verify_opts.deadline, options.deadline);
-
-  SampleGenerator gen(predicate, schema, cols, gen_opts);
-  Stopwatch total;
-
-  // Converts a deadline-expiry Status from `stage` into a graceful
-  // partial result; any other error propagates to the caller.
-  auto note_timeout = [&result](const Status& st, const char* stage) {
-    if (st.code() != StatusCode::kTimeout) return false;
-    result.deadline_expired = true;
-    result.timeout_stage = stage;
-    result.solver_gave_up = true;
-    return true;
-  };
-
-  // --- Stage 1: initial training samples (§5.3) ---
-  Stopwatch sw;
-  auto ts_r = gen.GenerateTrue(options.initial_true_samples);
-  result.stats.generation_ms += sw.ElapsedMillis();
-  if (!ts_r.ok()) {
-    result.stats.solver_calls = gen.solver_calls();
-    if (note_timeout(ts_r.status(), "synth.sample")) return result;
-    return ts_r.status();
-  }
-  std::vector<Tuple> ts = std::move(*ts_r);
-  const bool true_exhausted = gen.exhausted();
-  if (gen.deadline_expired()) {
-    result.deadline_expired = true;
-    result.timeout_stage = "synth.sample";
-  }
-
-  if (ts.empty()) {
-    if (true_exhausted) {
-      // p is unsatisfiable: FALSE is the optimal reduction.
-      result.status = SynthesisStatus::kOptimal;
-      result.predicate = Expr::BoolLit(false);
-      result.stats.solver_calls = gen.solver_calls();
-      return result;
-    }
-    result.status = SynthesisStatus::kNone;  // solver budget exceeded
-    result.solver_gave_up = true;
-    result.stats.solver_calls = gen.solver_calls();
-    return result;
-  }
-  if (true_exhausted) {
-    // Finite satisfaction space: the disjunction of per-sample equality
-    // constraints is the strongest valid reduction (§5.3).
-    result.status = SynthesisStatus::kOptimal;
-    result.predicate = EqualityDisjunction(ts, cols, schema);
-    result.stats.true_samples = ts.size();
-    result.stats.solver_calls = gen.solver_calls();
-    return result;
-  }
-
-  sw.Reset();
-  auto fs_r = gen.GenerateFalse(options.initial_false_samples);
-  result.stats.generation_ms += sw.ElapsedMillis();
-  if (!fs_r.ok()) {
-    result.stats.true_samples = ts.size();
-    result.stats.solver_calls = gen.solver_calls();
-    if (note_timeout(fs_r.status(), "synth.sample")) return result;
-    return fs_r.status();
-  }
-  std::vector<Tuple> fs = std::move(*fs_r);
-  const bool false_exhausted = gen.exhausted();
-  if (gen.deadline_expired()) {
-    result.deadline_expired = true;
-    result.timeout_stage = "synth.sample";
-  }
-
-  if (fs.empty()) {
-    // No unsatisfaction tuple exists (TRUE is the only valid & optimal
-    // reduction) or the solver gave up: either way there is no useful
-    // predicate — the query is not "symbolically relevant" (§6.2). The
-    // two cases differ for the degradation ladder, though: only the
-    // gave-up one is worth retrying.
-    result.solver_gave_up = !false_exhausted;
-    result.status = SynthesisStatus::kNone;
-    result.stats.true_samples = ts.size();
-    result.stats.solver_calls = gen.solver_calls();
-    return result;
-  }
-
-  // --- Stage 2: counter-example guided learning (Alg. 1) ---
-  ExprPtr accumulated;  // p₁: conjunction of verified learned predicates
-  bool proved_optimal = false;
-
-  TrainingSet data;
-  data.true_samples = std::move(ts);
-  data.false_samples = std::move(fs);
-
-  // FALSE samples already rejected by the accumulated conjunction are
-  // settled: the next conjunct does not need to reject them again, and
-  // keeping them in the SVM problem drags the separator back toward
-  // directions p₁ already covers. Learn therefore trains against the
-  // *active* FALSE set (all of them while p₁ = TRUE).
-  auto active_false = [&]() {
-    std::vector<Tuple> active;
-    for (const Tuple& f : data.false_samples) {
-      bool rejected = false;
-      for (const LearnedPredicate& lp : result.conjuncts) {
-        if (!lp.Accepts(f)) {
-          rejected = true;
-          break;
-        }
-      }
-      if (!rejected) active.push_back(f);
-    }
-    return active;
-  };
-
-  int iteration = 0;
-  for (; iteration < options.max_iterations; ++iteration) {
-    SIA_TRACE_SPAN("synth.iteration");
-    // Learn (Alg. 2).
-    sw.Reset();
-    TrainingSet learn_set;
-    learn_set.true_samples = data.true_samples;
-    learn_set.false_samples = active_false();
-    auto learned = Learn(learn_set, cols, options.learn);
-    result.stats.learning_ms += sw.ElapsedMillis();
-    if (!learned.ok()) return learned.status();
-    ExprPtr p2 = LearnedToExpr(*learned, schema);
-
-    // Verify p ⟹ p₂ (three-valued logic).
-    sw.Reset();
-    auto verdict = VerifyImplies(predicate, p2, schema, verify_opts);
-    result.stats.validation_ms += sw.ElapsedMillis();
-    if (!verdict.ok()) {
-      // Deadline spent mid-loop: keep whatever is already proved valid.
-      if (note_timeout(verdict.status(), "verify.check")) break;
-      return verdict.status();
-    }
-
-    if (*verdict == VerifyResult::kUnknown) {
-      // Solver budget exceeded mid-loop; keep whatever is already proved.
-      result.solver_gave_up = true;
-      break;
-    }
-
-    if (*verdict == VerifyResult::kValid) {
-      // p₃ ← p₁ ∧ p₂, dropping conjuncts the new one subsumes: when both
-      // are single halfplanes with the same direction, the one with the
-      // smaller constant is strictly stronger (coeff·x + c > 0 accepts
-      // fewer tuples for smaller c). Without this the bisection dynamics
-      // of the loop leave a chain of superseded bounds in the output.
-      const bool single = learned->models.size() == 1;
-      if (single) {
-        const LinearForm& fresh = learned->models[0];
-        std::erase_if(result.conjuncts, [&](const LearnedPredicate& old) {
-          return old.models.size() == 1 &&
-                 old.models[0].columns == fresh.columns &&
-                 old.models[0].coeffs == fresh.coeffs &&
-                 old.models[0].constant >= fresh.constant;
-        });
-      }
-      result.conjuncts.push_back(std::move(*learned));
-      std::vector<ExprPtr> parts;
-      parts.reserve(result.conjuncts.size());
-      for (const LearnedPredicate& lp : result.conjuncts) {
-        parts.push_back(LearnedToExpr(lp, schema));
-      }
-      accumulated = Expr::And(parts);
-
-      sw.Reset();
-      auto fs1 = gen.CounterFalse(accumulated,
-                                  options.samples_per_iteration);
-      result.stats.generation_ms += sw.ElapsedMillis();
-      if (!fs1.ok()) {
-        if (note_timeout(fs1.status(), "verify.cex")) {
-          ++iteration;
-          break;
-        }
-        return fs1.status();
-      }
-      if (fs1->empty()) {
-        if (!gen.exhausted()) {
-          // Solver budget exceeded: p₃ is valid, optimality unknown.
-          result.solver_gave_up = true;
-          ++iteration;
-          break;
-        }
-        // The generator's NotOld constraints hide previously seen
-        // unsatisfaction tuples, so exhaustion alone certifies only that
-        // no NEW counter-example exists. Optimality (Lemma 4) further
-        // requires that p₃ rejects every unsatisfaction tuple already
-        // seen; if any is still accepted, keep learning — the active-
-        // FALSE filter hands the learner exactly those stragglers.
-        const bool rejects_all_seen = std::all_of(
-            data.false_samples.begin(), data.false_samples.end(),
-            [&](const Tuple& f) {
-              return std::any_of(result.conjuncts.begin(),
-                                 result.conjuncts.end(),
-                                 [&](const LearnedPredicate& lp) {
-                                   return !lp.Accepts(f);
-                                 });
-            });
-        if (rejects_all_seen) {
-          proved_optimal = true;  // Lemma 4
-          ++iteration;
-          break;
-        }
-        continue;
-      }
-      data.false_samples.insert(data.false_samples.end(), fs1->begin(),
-                                fs1->end());
-    } else {
-      // Invalid: find TRUE counter-examples that p₂ wrongly rejects.
-      sw.Reset();
-      auto ts1 = gen.CounterTrue(p2, options.samples_per_iteration);
-      result.stats.generation_ms += sw.ElapsedMillis();
-      if (!ts1.ok()) {
-        if (note_timeout(ts1.status(), "verify.cex")) break;
-        return ts1.status();
-      }
-      if (ts1->empty()) {
-        // Verify's 3VL witness is NULL-only (not reachable with concrete
-        // non-NULL samples) or the solver gave up: no progress possible.
-        result.solver_gave_up = true;
-        break;
-      }
-      data.true_samples.insert(data.true_samples.end(), ts1->begin(),
-                               ts1->end());
-    }
-  }
-
-  result.stats.iterations = iteration;
-  result.stats.true_samples = data.true_samples.size();
-  result.stats.false_samples = data.false_samples.size();
-  result.stats.solver_calls = gen.solver_calls();
-
-  if (accumulated == nullptr) {
-    result.status = SynthesisStatus::kNone;
-    return result;
-  }
-  result.status = proved_optimal ? SynthesisStatus::kOptimal
-                                 : SynthesisStatus::kValid;
-  result.predicate = PrettifyDates(Simplify(accumulated), schema);
+  const Status status =
+      RunCegis(predicate, schema, cols, options, &ctx, &result);
+  result.stats.solver_calls = ctx.check_calls();
+  ReportStats(result);
+  SIA_RETURN_IF_ERROR(status);
   return result;
 }
 

@@ -10,7 +10,6 @@
 #include "ir/expr.h"
 #include "learn/learner.h"
 #include "synth/sample_generator.h"
-#include "synth/verifier.h"
 #include "types/schema.h"
 
 namespace sia {
@@ -25,13 +24,11 @@ struct SynthesisOptions {
   size_t initial_false_samples = 10;
   size_t samples_per_iteration = 5;
   SampleGenOptions samples;
-  VerifyOptions verify;
   LearnOptions learn;
-  // End-to-end wall-clock budget for the whole run (infinite by
-  // default). Merged (as the earlier of the two) into the sampler's and
-  // verifier's own deadlines, so every solver call across the run draws
-  // from one shared budget.
-  Deadline deadline;
+  // The run's only time budget: a wall-clock deadline (infinite by
+  // default) plus a per-solver-call cap. The run's SmtContext holds it,
+  // so every sampler and verifier call draws from the same clock.
+  SolverBudget budget;
 
   // Paper baselines (Table 1).
   static SynthesisOptions Sia() { return SynthesisOptions(); }
@@ -69,6 +66,8 @@ struct SynthesisStats {
   int iterations = 0;
   size_t true_samples = 0;   // at the final iteration
   size_t false_samples = 0;
+  // Check/CheckOptimize calls on the run's SmtContext: samples,
+  // counter-examples and verification alike.
   size_t solver_calls = 0;
 };
 

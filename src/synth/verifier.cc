@@ -6,20 +6,16 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "smt/encoder.h"
-#include "smt/smt_context.h"
 
 namespace sia {
 
-Result<VerifyResult> VerifyImplies(const ExprPtr& original,
+Result<VerifyResult> VerifyImplies(SmtContext* ctx, const ExprPtr& original,
                                    const ExprPtr& learned,
-                                   const Schema& schema,
-                                   const VerifyOptions& options) {
+                                   const Schema& schema) {
   SIA_TRACE_SPAN("verify.check");
   SIA_COUNTER_INC("verify.checks");
   SIA_FAULT_INJECT("verify.check");
-  SmtContext ctx;
-  ctx.set_budget(SolverBudget{options.deadline, options.solver_timeout_ms});
-  Encoder encoder(&ctx, schema, NullHandling::kThreeValued);
+  Encoder encoder(ctx, schema, NullHandling::kThreeValued);
 
   // Validity (Def. 2) fails iff some tuple satisfies p (evaluates to
   // TRUE) while p₁ does not (evaluates to FALSE or NULL): check
@@ -27,11 +23,11 @@ Result<VerifyResult> VerifyImplies(const ExprPtr& original,
   SIA_ASSIGN_OR_RETURN(z3::expr p_true, encoder.EncodeTrue(original));
   SIA_ASSIGN_OR_RETURN(z3::expr p1_not, encoder.EncodeNotTrue(learned));
 
-  z3::solver solver(ctx.z3());
+  z3::solver solver(ctx->z3());
   solver.add(p_true && p1_not);
 
   SIA_ASSIGN_OR_RETURN(z3::check_result res,
-                       ctx.Check(&solver, nullptr, "verify.check"));
+                       ctx->Check(&solver, nullptr, "verify.check"));
   switch (res) {
     case z3::unsat:
       SIA_COUNTER_INC("verify.valid");
@@ -46,12 +42,21 @@ Result<VerifyResult> VerifyImplies(const ExprPtr& original,
   return Status::SolverError("unexpected solver result");
 }
 
+Result<VerifyResult> VerifyImplies(const ExprPtr& original,
+                                   const ExprPtr& learned,
+                                   const Schema& schema,
+                                   const SolverBudget& budget) {
+  SmtContext ctx(budget);
+  return VerifyImplies(&ctx, original, learned, schema);
+}
+
 Result<VerifyResult> VerifyEquivalent(const ExprPtr& p, const ExprPtr& q,
                                       const Schema& schema,
-                                      const VerifyOptions& options) {
-  SIA_ASSIGN_OR_RETURN(VerifyResult fwd, VerifyImplies(p, q, schema, options));
+                                      const SolverBudget& budget) {
+  SmtContext ctx(budget);
+  SIA_ASSIGN_OR_RETURN(VerifyResult fwd, VerifyImplies(&ctx, p, q, schema));
   if (fwd != VerifyResult::kValid) return fwd;
-  return VerifyImplies(q, p, schema, options);
+  return VerifyImplies(&ctx, q, p, schema);
 }
 
 }  // namespace sia

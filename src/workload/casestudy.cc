@@ -78,10 +78,10 @@ Result<CaseStudyReport> SimulateCaseStudy(const Catalog& catalog,
     }
 
     // Sia's §6.2 probe: one unsatisfaction tuple == symbolically relevant.
+    SmtContext ctx(SolverBudget::Unbounded(options.probe_timeout_ms));
     SampleGenOptions gen_opts;
-    gen_opts.solver_timeout_ms = options.probe_timeout_ms;
     gen_opts.random_seed = static_cast<uint32_t>(q + 1);
-    SampleGenerator gen(bound, joint, cols, gen_opts);
+    SampleGenerator gen(&ctx, bound, joint, cols, gen_opts);
     auto probe = gen.GenerateFalse(1);
     rec.relevant = probe.ok() && !probe->empty();
 

@@ -35,21 +35,6 @@ TEST(DeadlineTest, CopySharesTheEndInstant) {
   EXPECT_LE(b.RemainingMillis(), a.RemainingMillis() + 1);
 }
 
-TEST(DeadlineTest, EarlierPicksTheFiniteOne) {
-  const Deadline finite = Deadline::FromNowMillis(1000);
-  const Deadline inf = Deadline::Infinite();
-  EXPECT_FALSE(Deadline::Earlier(finite, inf).infinite());
-  EXPECT_FALSE(Deadline::Earlier(inf, finite).infinite());
-  EXPECT_TRUE(Deadline::Earlier(inf, inf).infinite());
-}
-
-TEST(DeadlineTest, EarlierPicksTheSoonerOfTwoFinite) {
-  const Deadline soon = Deadline::FromNowMillis(10);
-  const Deadline late = Deadline::FromNowMillis(60000);
-  EXPECT_LE(Deadline::Earlier(soon, late).RemainingMillis(), 10);
-  EXPECT_LE(Deadline::Earlier(late, soon).RemainingMillis(), 10);
-}
-
 TEST(SolverBudgetTest, DefaultIsUnboundedWithSharedCap) {
   const SolverBudget b;
   EXPECT_FALSE(b.Exhausted());

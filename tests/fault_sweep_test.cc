@@ -60,7 +60,7 @@ class FaultSweepTest : public ::testing::Test {
     opts.synthesis.max_iterations = 6;
     opts.synthesis.initial_true_samples = 6;
     opts.synthesis.initial_false_samples = 6;
-    opts.deadline = Deadline::FromNowMillis(20000);
+    opts.synthesis.budget.deadline = Deadline::FromNowMillis(20000);
     return opts;
   }
 

@@ -101,6 +101,7 @@ TEST_P(TransitiveClosureSoundness, DerivedConjunctsAreImplied) {
   s.AddColumn({"t", "a", DataType::kInteger, false});
   s.AddColumn({"t", "b", DataType::kInteger, false});
   s.AddColumn({"t", "c", DataType::kInteger, false});
+  SmtContext shared;  // one context for every check below, in sequence
   for (int trial = 0; trial < 8; ++trial) {
     // Comparison chains over columns and constants.
     std::vector<ExprPtr> conjuncts;
@@ -121,6 +122,12 @@ TEST_P(TransitiveClosureSoundness, DerivedConjunctsAreImplied) {
       ASSERT_TRUE(v.ok());
       EXPECT_EQ(*v, VerifyResult::kValid)
           << original->ToString() << "  |=/=  " << d->ToString();
+      // A synthesis run verifies in one context it reuses; the verdict
+      // must not depend on what that context checked before.
+      auto reused = VerifyImplies(&shared, original, d, s);
+      ASSERT_TRUE(reused.ok());
+      EXPECT_EQ(*reused, *v)
+          << original->ToString() << "  |=  " << d->ToString();
     }
   }
 }
@@ -137,6 +144,12 @@ TEST(SynthesisSoundness, WorkloadPredicatesAlwaysVerify) {
   gen.seed = 777;
   auto queries = GenerateWorkload(catalog, 4, gen);
   ASSERT_TRUE(queries.ok());
+  // The third query of the paper-default stream: its loop piles up
+  // halfplanes that later, tighter bounds imply.
+  gen.seed = 2021;
+  auto paper_stream = GenerateWorkload(catalog, 3, gen);
+  ASSERT_TRUE(paper_stream.ok());
+  queries->push_back(paper_stream->back());
 
   const size_t ship = *joint.FindColumn("l_shipdate");
   const size_t commit = *joint.FindColumn("l_commitdate");
@@ -157,6 +170,28 @@ TEST(SynthesisSoundness, WorkloadPredicatesAlwaysVerify) {
       ASSERT_TRUE(v.ok());
       EXPECT_EQ(*v, VerifyResult::kValid)
           << g.sql << "\n learned: " << r->predicate->ToString();
+      // No conjunct is implied by the others: each one the engine
+      // evaluates actually narrows the filter.
+      const auto to_expr = [&](const LearnedPredicate& lp) {
+        std::vector<ExprPtr> disjuncts;
+        for (const LinearForm& f : lp.models) {
+          disjuncts.push_back(f.ToExpr(joint));
+        }
+        return Expr::Or(disjuncts);
+      };
+      for (size_t i = 0; r->conjuncts.size() > 1 && i < r->conjuncts.size();
+           ++i) {
+        std::vector<ExprPtr> rest;
+        for (size_t j = 0; j < r->conjuncts.size(); ++j) {
+          if (j != i) rest.push_back(to_expr(r->conjuncts[j]));
+        }
+        auto implied =
+            VerifyImplies(Expr::And(rest), to_expr(r->conjuncts[i]), joint);
+        ASSERT_TRUE(implied.ok());
+        EXPECT_NE(*implied, VerifyResult::kValid)
+            << "redundant conjunct " << i << " in "
+            << r->predicate->ToString();
+      }
     }
   }
 }
@@ -476,7 +511,8 @@ TEST(SampleSoundness, TrueSamplesAreFeasibleRestrictions) {
   for (int trial = 0; trial < 12 && checked < 6; ++trial) {
     auto bound = Bind(RandomPredicate(rng, 2), s);
     ASSERT_TRUE(bound.ok());
-    SampleGenerator gen(*bound, s, {0, 1});
+    SmtContext ctx;
+    SampleGenerator gen(&ctx, *bound, s, {0, 1});
     auto ts = gen.GenerateTrue(4);
     if (!ts.ok() || ts->empty()) continue;
     ++checked;
@@ -505,7 +541,8 @@ TEST(SampleSoundness, FalseSamplesRejectAllExtensions) {
   for (int trial = 0; trial < 12 && checked < 6; ++trial) {
     auto bound = Bind(RandomPredicate(rng, 2), s);
     ASSERT_TRUE(bound.ok());
-    SampleGenerator gen(*bound, s, {0, 1});
+    SmtContext ctx;
+    SampleGenerator gen(&ctx, *bound, s, {0, 1});
     auto fs = gen.GenerateFalse(3);
     if (!fs.ok() || fs->empty()) continue;
     ++checked;

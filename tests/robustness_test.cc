@@ -44,9 +44,8 @@ TEST(StarvedSolverTest, SynthesisDegradesGracefully) {
   ExprPtr p = BindOrDie((Col("a") - Col("b") < Lit(20)) && (Col("b") < Lit(0)),
                         s);
   SynthesisOptions opts;
-  opts.samples.solver_timeout_ms = 1;
-  opts.verify.solver_timeout_ms = 1;
-  auto r = Synthesize(p, s, {0});
+  opts.budget = SolverBudget::Unbounded(1);
+  auto r = Synthesize(p, s, {0}, opts);
   // With a 1ms budget the solver may still manage trivial queries; the
   // contract is only "no crash, and any predicate returned verifies".
   ASSERT_TRUE(r.ok()) << r.status().ToString();
@@ -70,9 +69,8 @@ TEST(StarvedSolverTest, VerifyReportsUnknownNotWrongAnswer) {
                               s));
   }
   ExprPtr big = Expr::Or(parts);
-  VerifyOptions opts;
-  opts.solver_timeout_ms = 1;
-  auto v = VerifyImplies(big, BindOrDie(Col("a") > Lit(-100000), s), s, opts);
+  auto v = VerifyImplies(big, BindOrDie(Col("a") > Lit(-100000), s), s,
+                         SolverBudget::Unbounded(1));
   ASSERT_TRUE(v.ok());
   SUCCEED();
 }
@@ -81,9 +79,7 @@ TEST(StarvedSolverTest, IntervalSynthesizerTimeout) {
   Schema s = Abc();
   ExprPtr p = BindOrDie((Col("a") - Col("b") < Lit(20)) && (Col("b") < Lit(0)),
                         s);
-  IntervalOptions opts;
-  opts.solver_timeout_ms = 1;
-  auto r = SynthesizeInterval(p, s, 0);
+  auto r = SynthesizeInterval(p, s, 0, SolverBudget::Unbounded(1));
   ASSERT_TRUE(r.ok());  // may be kNone/kValid/kOptimal, never a crash
 }
 
@@ -91,9 +87,8 @@ TEST(StarvedSolverTest, ExpiredDeadlineSurfacesAsTimeoutNamingTheStage) {
   Schema s = Abc();
   ExprPtr p = BindOrDie((Col("a") - Col("b") < Lit(20)) && (Col("b") < Lit(0)),
                         s);
-  VerifyOptions opts;
-  opts.deadline = Deadline::FromNowMillis(0);
-  auto v = VerifyImplies(p, BindOrDie(Col("a") < Lit(100), s), s, opts);
+  const SolverBudget spent{Deadline::FromNowMillis(0)};
+  auto v = VerifyImplies(p, BindOrDie(Col("a") < Lit(100), s), s, spent);
   ASSERT_FALSE(v.ok());
   EXPECT_EQ(v.status().code(), StatusCode::kTimeout);
   EXPECT_NE(v.status().message().find("verify.check"), std::string::npos)
@@ -110,7 +105,7 @@ TEST(StarvedSolverTest, StarvedEndToEndRewriteDeadline) {
       "AND l_shipdate - o_orderdate < 20 AND o_orderdate < '1993-06-01'";
   RewriteOptions opts;
   opts.target_table = "lineitem";
-  opts.deadline = Deadline::FromNowMillis(1);
+  opts.synthesis.budget.deadline = Deadline::FromNowMillis(1);
 
   Stopwatch sw;
   auto outcome = RewriteQuery(sql, catalog, opts);
@@ -124,7 +119,7 @@ TEST(StarvedSolverTest, StarvedEndToEndRewriteDeadline) {
   EXPECT_LT(sw.ElapsedMillis(), 10000.0);
 
   // Deterministic: a second starved run reaches the same outcome.
-  opts.deadline = Deadline::FromNowMillis(0);
+  opts.synthesis.budget.deadline = Deadline::FromNowMillis(0);
   auto again = RewriteQuery(sql, catalog, opts);
   ASSERT_TRUE(again.ok());
   EXPECT_FALSE(again->changed());
@@ -136,7 +131,7 @@ TEST(StarvedSolverTest, SynthesisRecordsDeadlineExpiry) {
   ExprPtr p = BindOrDie((Col("a") - Col("b") < Lit(20)) && (Col("b") < Lit(0)),
                         s);
   SynthesisOptions opts;
-  opts.deadline = Deadline::FromNowMillis(0);
+  opts.budget.deadline = Deadline::FromNowMillis(0);
   auto r = Synthesize(p, s, {0}, opts);
   ASSERT_TRUE(r.ok()) << r.status().ToString();  // graceful, not an error
   EXPECT_EQ(r->status, SynthesisStatus::kNone);

@@ -45,10 +45,11 @@ class SampleGeneratorTest : public ::testing::Test {
  protected:
   Schema schema_ = Abc();
   ExprPtr pred_ = BindOrDie(MotivatingPredicate(), schema_);
+  SmtContext ctx_;
 };
 
 TEST_F(SampleGeneratorTest, TrueSamplesSatisfyPredicateWithWitness) {
-  SampleGenerator gen(pred_, schema_, {0, 1});
+  SampleGenerator gen(&ctx_, pred_, schema_, {0, 1});
   auto samples = gen.GenerateTrue(10);
   ASSERT_TRUE(samples.ok()) << samples.status().ToString();
   ASSERT_EQ(samples->size(), 10u);
@@ -64,7 +65,7 @@ TEST_F(SampleGeneratorTest, TrueSamplesSatisfyPredicateWithWitness) {
 }
 
 TEST_F(SampleGeneratorTest, FalseSamplesAreUnsatisfactionTuples) {
-  SampleGenerator gen(pred_, schema_, {0, 1});
+  SampleGenerator gen(&ctx_, pred_, schema_, {0, 1});
   auto samples = gen.GenerateFalse(8);
   ASSERT_TRUE(samples.ok()) << samples.status().ToString();
   ASSERT_EQ(samples->size(), 8u);
@@ -80,7 +81,7 @@ TEST_F(SampleGeneratorTest, FalseSamplesAreUnsatisfactionTuples) {
 }
 
 TEST_F(SampleGeneratorTest, SamplesAreDistinct) {
-  SampleGenerator gen(pred_, schema_, {0, 1});
+  SampleGenerator gen(&ctx_, pred_, schema_, {0, 1});
   auto samples = gen.GenerateTrue(20);
   ASSERT_TRUE(samples.ok());
   for (size_t i = 0; i < samples->size(); ++i) {
@@ -92,7 +93,7 @@ TEST_F(SampleGeneratorTest, SamplesAreDistinct) {
 }
 
 TEST_F(SampleGeneratorTest, CounterTrueRespectsBothPredicates) {
-  SampleGenerator gen(pred_, schema_, {0, 1});
+  SampleGenerator gen(&ctx_, pred_, schema_, {0, 1});
   // A deliberately too-strong learned predicate: a1 > 1000.
   ExprPtr learned = BindOrDie(Col("a1") > Lit(1000), schema_);
   auto counter = gen.CounterTrue(learned, 5);
@@ -105,7 +106,7 @@ TEST_F(SampleGeneratorTest, CounterTrueRespectsBothPredicates) {
 }
 
 TEST_F(SampleGeneratorTest, CounterFalseFindsAcceptedUnsatTuples) {
-  SampleGenerator gen(pred_, schema_, {0, 1});
+  SampleGenerator gen(&ctx_, pred_, schema_, {0, 1});
   // TRUE accepts everything, so every unsatisfaction tuple is accepted.
   ExprPtr trivial = Expr::BoolLit(true);
   auto counter = gen.CounterFalse(trivial, 5);
@@ -119,7 +120,7 @@ TEST_F(SampleGeneratorTest, ExhaustionOnFiniteSpace) {
   ExprPtr p = BindOrDie(
       (Col("a1") >= Lit(1)) && (Col("a1") <= Lit(3)) && (Col("b1") > Lit(0)),
       schema_);
-  SampleGenerator gen(p, schema_, {0});
+  SampleGenerator gen(&ctx_, p, schema_, {0});
   auto samples = gen.GenerateTrue(10);
   ASSERT_TRUE(samples.ok());
   EXPECT_EQ(samples->size(), 3u);

@@ -228,7 +228,7 @@ void LintQuery(const std::string& label, const sia::ParsedQuery& query,
     if (options.deadline_ms > 0) {
       // The budget starts now and is shared by every solver call the
       // rewrite makes, across all ladder rungs.
-      rewrite_options.deadline =
+      rewrite_options.synthesis.budget.deadline =
           sia::Deadline::FromNowMillis(options.deadline_ms);
     }
     // Marks the start of this query's rewrite in the tracer's timeline
