@@ -6,6 +6,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdlib>
+#include <vector>
 
 #include "catalog/catalog.h"
 #include "common/rng.h"
@@ -133,6 +134,27 @@ void BM_Verify(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Verify);
+
+// The CEGIS loop's verification pattern: 20 candidate p₁ (invalid below
+// the optimal bound a1 - a2 < 29, valid from it on) checked in sequence
+// against one p through one run's Verifier.
+void BM_VerifySequence(benchmark::State& state) {
+  const Schema s = Abc();
+  const ExprPtr p = MotivatingPredicate(s);
+  std::vector<ExprPtr> candidates;
+  for (int64_t i = 0; i < 20; ++i) {
+    candidates.push_back(Bind(Col("a1") - Col("a2") < Lit(20 + i), s).value());
+  }
+  for (auto _ : state) {
+    SmtContext ctx;
+    Verifier verifier(&ctx, p, s);
+    for (const ExprPtr& p1 : candidates) {
+      auto v = verifier.Implies(p1);
+      benchmark::DoNotOptimize(v);
+    }
+  }
+}
+BENCHMARK(BM_VerifySequence)->Unit(benchmark::kMillisecond);
 
 void BM_FullSynthesis(benchmark::State& state) {
   const Schema s = Abc();

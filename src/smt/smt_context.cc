@@ -24,7 +24,8 @@ void CountCheckResult(z3::check_result result, std::string_view metric_stem) {
 
 Result<z3::check_result> SmtContext::Check(z3::solver* solver,
                                            z3::params* params,
-                                           std::string_view stage) {
+                                           std::string_view stage,
+                                           const z3::expr_vector* assumptions) {
   SIA_TRACE_SPAN("smt.check");
   SIA_COUNTER_INC("smt.check.calls");
   ++check_calls_;
@@ -41,7 +42,9 @@ Result<z3::check_result> SmtContext::Check(z3::solver* solver,
     z3::params p = params != nullptr ? *params : z3::params(ctx_);
     p.set("timeout", budget_.CallTimeoutMs());
     solver->set(p);
-    const z3::check_result result = solver->check();
+    const z3::check_result result = assumptions != nullptr
+                                        ? solver->check(*assumptions)
+                                        : solver->check();
     SIA_HISTOGRAM_RECORD("smt.check.latency_us", timer.ElapsedMicros());
     CountCheckResult(result, "smt.check");
     return result;

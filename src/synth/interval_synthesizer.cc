@@ -47,55 +47,36 @@ ExprPtr BoundLiteral(const Schema& schema, size_t col, int64_t v) {
   return Expr::IntLit(v);
 }
 
-}  // namespace
-
-Result<SynthesisResult> SynthesizeInterval(const ExprPtr& predicate,
-                                           const Schema& schema, size_t col,
-                                           const SolverBudget& budget) {
-  SIA_TRACE_SPAN("synth.interval");
-  SIA_COUNTER_INC("synth.interval.runs");
-  const std::vector<size_t> used = CollectColumnIndices(predicate);
-  if (std::find(used.begin(), used.end(), col) == used.end()) {
-    return Status::InvalidArgument("column not referenced by the predicate");
-  }
-  if (!IsIntegral(schema.column(col).type)) {
-    return Status::Unsupported("interval synthesis requires an integral column");
-  }
-
-  SIA_RETURN_IF_ERROR(budget.RequireRemaining("synth.interval"));
-
-  SynthesisResult result;
+// The interval rung's queries in `ctx`, filling `result`.
+Status RunInterval(const ExprPtr& predicate, const Schema& schema, size_t col,
+                   SmtContext* ctx, SynthesisResult* result) {
   Stopwatch sw;
-
-  SmtContext ctx(budget);
-  Encoder encoder(&ctx, schema, NullHandling::kIgnore);
+  Encoder encoder(ctx, schema, NullHandling::kIgnore);
   SIA_ASSIGN_OR_RETURN(z3::expr p_true, encoder.EncodeTrue(predicate));
   z3::expr var = encoder.ColumnVar(col);
 
   SIA_ASSIGN_OR_RETURN(const std::optional<int64_t> lo,
-                       Optimize(&ctx, p_true, var, /*maximize=*/false));
+                       Optimize(ctx, p_true, var, /*maximize=*/false));
   SIA_ASSIGN_OR_RETURN(const std::optional<int64_t> hi,
-                       Optimize(&ctx, p_true, var, /*maximize=*/true));
-  result.stats.generation_ms = sw.ElapsedMillis();
+                       Optimize(ctx, p_true, var, /*maximize=*/true));
+  result->stats.generation_ms = sw.ElapsedMillis();
 
   // Unsatisfiable predicate: both queries return UNSAT; FALSE is optimal.
   {
-    z3::solver solver(ctx.z3());
+    z3::solver solver(ctx->z3());
     solver.add(p_true);
     SIA_ASSIGN_OR_RETURN(z3::check_result sat_res,
-                         ctx.Check(&solver, nullptr, "synth.interval"));
+                         ctx->Check(&solver, nullptr, "synth.interval"));
     if (sat_res == z3::unsat) {
-      result.status = SynthesisStatus::kOptimal;
-      result.predicate = Expr::BoolLit(false);
-      result.stats.solver_calls = ctx.check_calls();
-      return result;
+      result->status = SynthesisStatus::kOptimal;
+      result->predicate = Expr::BoolLit(false);
+      return Status::OK();
     }
   }
 
   if (!lo.has_value() && !hi.has_value()) {
-    result.status = SynthesisStatus::kNone;  // only TRUE is valid
-    result.stats.solver_calls = ctx.check_calls();
-    return result;
+    result->status = SynthesisStatus::kNone;  // only TRUE is valid
+    return Status::OK();
   }
 
   std::vector<ExprPtr> conjuncts;
@@ -114,20 +95,47 @@ Result<SynthesisResult> SynthesizeInterval(const ExprPtr& predicate,
                                         BoundLiteral(schema, col, *hi)));
     }
   }
-  result.predicate = Expr::And(conjuncts);
+  result->predicate = Expr::And(conjuncts);
 
   // Optimality: the hull is optimal iff no value inside it is an
   // unsatisfaction tuple (Lemma 4) — one ∃∀ query.
   sw.Reset();
-  SampleGenerator gen(&ctx, predicate, schema, {col});
-  auto hole = gen.CounterFalse(result.predicate, 1);
-  result.stats.validation_ms = sw.ElapsedMillis();
-  result.stats.solver_calls = ctx.check_calls();
+  SampleGenerator gen(ctx, predicate, schema, {col});
+  auto hole = gen.CounterFalse(result->predicate, 1);
+  result->stats.validation_ms = sw.ElapsedMillis();
   if (hole.ok() && hole->empty() && gen.exhausted()) {
-    result.status = SynthesisStatus::kOptimal;
+    result->status = SynthesisStatus::kOptimal;
   } else {
-    result.status = SynthesisStatus::kValid;
+    result->status = SynthesisStatus::kValid;
   }
+  return Status::OK();
+}
+
+}  // namespace
+
+Result<SynthesisResult> SynthesizeInterval(const ExprPtr& predicate,
+                                           const Schema& schema, size_t col,
+                                           const SolverBudget& budget) {
+  SIA_TRACE_SPAN("synth.interval");
+  SIA_COUNTER_INC("synth.interval.runs");
+  const std::vector<size_t> used = CollectColumnIndices(predicate);
+  if (std::find(used.begin(), used.end(), col) == used.end()) {
+    return Status::InvalidArgument("column not referenced by the predicate");
+  }
+  if (!IsIntegral(schema.column(col).type)) {
+    return Status::Unsupported("interval synthesis requires an integral column");
+  }
+
+  SIA_RETURN_IF_ERROR(budget.RequireRemaining("synth.interval"));
+
+  SmtContext ctx(budget);
+  SynthesisResult result;
+  const Status status = RunInterval(predicate, schema, col, &ctx, &result);
+  // Every return path counts its checks, so synth.solver_calls covers
+  // the interval rung as well as the CEGIS runs.
+  result.stats.solver_calls = ctx.check_calls();
+  SIA_COUNTER_ADD("synth.solver_calls", result.stats.solver_calls);
+  SIA_RETURN_IF_ERROR(status);
   return result;
 }
 

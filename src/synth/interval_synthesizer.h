@@ -30,7 +30,9 @@ namespace sia {
 // unbounded on both sides (only TRUE is valid), an equality/interval
 // predicate otherwise. The OMT queries and the hole check share one
 // context under `budget`; an expired budget surfaces as
-// StatusCode::kTimeout naming stage "synth.interval".
+// StatusCode::kTimeout naming stage "synth.interval". The checks count
+// toward `synth.solver_calls`, like a CEGIS run's, but not toward
+// `synth.runs`.
 [[nodiscard]] Result<SynthesisResult> SynthesizeInterval(const ExprPtr& predicate,
                                            const Schema& schema, size_t col,
                                            const SolverBudget& budget = {});

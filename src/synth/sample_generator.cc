@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
 
 #include "common/fault_injection.h"
 #include "ir/analysis.h"
@@ -57,17 +58,33 @@ SampleGenerator::SampleGenerator(SmtContext* ctx, const ExprPtr& predicate,
       cols_(std::move(cols)),
       options_(options),
       ctx_(ctx),
-      encoder_(ctx, schema, NullHandling::kIgnore) {
+      encoder_(ctx, schema, NullHandling::kIgnore),
+      params_(ctx->z3()) {
   ScanConstants(predicate_, &const_lo_, &const_hi_, &has_consts_);
+  params_.set("random_seed", options_.random_seed);
+  // Randomized simplex starting points diversify the returned models
+  // (paper §5.3 heuristics); without it Z3 tends to return clustered
+  // near-identical samples. The per-call timeout is derived from the
+  // remaining budget inside SmtContext::Check.
+  params_.set("arith.random_initial_value", true);
 }
 
-Result<z3::expr> SampleGenerator::NotOld(const std::vector<Tuple>& seen) {
-  z3::expr acc = ctx_->z3().bool_val(true);
-  for (const Tuple& t : seen) {
-    SIA_ASSIGN_OR_RETURN(z3::expr eq, encoder_.TupleEquals(cols_, t));
-    acc = acc && !eq;
+Result<z3::solver*> SampleGenerator::TrueSolver() {
+  if (!true_solver_.has_value()) {
+    SIA_ASSIGN_OR_RETURN(z3::expr p_true, encoder_.EncodeTrue(predicate_));
+    true_solver_.emplace(ctx_->z3());
+    true_solver_->add(p_true);
   }
-  return acc;
+  return &*true_solver_;
+}
+
+Result<z3::solver*> SampleGenerator::FalseSolver() {
+  if (!false_solver_.has_value()) {
+    SIA_ASSIGN_OR_RETURN(z3::expr core, BuildUnsatCore());
+    false_solver_.emplace(ctx_->z3());
+    false_solver_->add(core);
+  }
+  return &*false_solver_;
 }
 
 std::vector<z3::expr> SampleGenerator::HintLayers() {
@@ -105,8 +122,27 @@ std::vector<z3::expr> SampleGenerator::HintLayers() {
   return layers;
 }
 
-Result<std::vector<Tuple>> SampleGenerator::Sample(
-    const z3::expr& base, size_t count, std::vector<Tuple>* seen,
+Result<std::vector<Tuple>> SampleGenerator::Sample(z3::solver* solver,
+                                                   const z3::expr* extra,
+                                                   size_t count,
+                                                   std::string_view stage) {
+  z3::expr_vector assumptions(ctx_->z3());
+  if (extra == nullptr) return SampleLoop(solver, assumptions, count, stage);
+  // `extra` holds for this call only, yet the exclusions the call finds
+  // must stay at base: guard it with a fresh literal the call's checks
+  // assume, and retire the literal on the way out, whatever the outcome.
+  const z3::expr guard = ctx_->z3().bool_const(
+      ("sample_guard!" + std::to_string(guards_++)).c_str());
+  solver->add(z3::implies(guard, *extra));
+  assumptions.push_back(guard);
+  Result<std::vector<Tuple>> produced =
+      SampleLoop(solver, assumptions, count, stage);
+  solver->add(!guard);
+  return produced;
+}
+
+Result<std::vector<Tuple>> SampleGenerator::SampleLoop(
+    z3::solver* solver, const z3::expr_vector& assumptions, size_t count,
     std::string_view stage) {
   // `stage` is "synth.sample" for training samples and "verify.cex" for
   // counter-examples; the span name follows the caller's stage.
@@ -114,22 +150,6 @@ Result<std::vector<Tuple>> SampleGenerator::Sample(
   exhausted_ = false;
   deadline_expired_ = false;
   std::vector<Tuple> produced;
-  z3::context& z = ctx_->z3();
-
-  z3::solver solver(z);
-  z3::params params(z);
-  params.set("random_seed", options_.random_seed);
-  // Randomized simplex starting points diversify the returned models
-  // (paper §5.3 heuristics); without it Z3 tends to return clustered
-  // near-identical samples. The per-call timeout is derived from the
-  // remaining budget inside SmtContext::Check.
-  params.set("arith.random_initial_value", true);
-  solver.add(base);
-  // NotOld is monotone: every exclusion stays in force for the rest of
-  // the run, so each one is asserted exactly once (incremental solving);
-  // only the relaxable domain hints go through push/pop.
-  SIA_ASSIGN_OR_RETURN(z3::expr prior, NotOld(*seen));
-  solver.add(prior);
 
   const std::vector<z3::expr> hints = HintLayers();
 
@@ -146,12 +166,12 @@ Result<std::vector<Tuple>> SampleGenerator::Sample(
     bool got_model = false;
     size_t layer = start_layer;
     while (true) {
-      solver.push();
+      solver->push();
       // Apply hint layers `layer..end` (dropping the strongest first).
-      for (size_t h = layer; h < hints.size(); ++h) solver.add(hints[h]);
-      auto checked = ctx_->Check(&solver, &params, stage);
+      for (size_t h = layer; h < hints.size(); ++h) solver->add(hints[h]);
+      auto checked = ctx_->Check(solver, &params_, stage, &assumptions);
       if (!checked.ok()) {
-        solver.pop();
+        solver->pop();
         if (checked.status().code() == StatusCode::kTimeout) {
           // End-to-end deadline spent: hand back whatever was produced
           // (the caller keeps partial progress); an empty return
@@ -164,20 +184,21 @@ Result<std::vector<Tuple>> SampleGenerator::Sample(
       }
       const z3::check_result res = *checked;
       if (res == z3::sat) {
-        z3::model model = solver.get_model();
+        z3::model model = solver->get_model();
         auto tuple = encoder_.ExtractTuple(model, cols_);
-        solver.pop();
+        solver->pop();
         if (!tuple.ok()) return tuple.status();
+        // NotOld: the exclusion goes in at base scope, once, and stays
+        // in force for the rest of the run.
         SIA_ASSIGN_OR_RETURN(z3::expr eq,
                              encoder_.TupleEquals(cols_, tuple.value()));
-        solver.add(!eq);
-        seen->push_back(tuple.value());
+        solver->add(!eq);
         produced.push_back(std::move(tuple).value());
         got_model = true;
         start_layer = layer;
         break;
       }
-      solver.pop();
+      solver->pop();
       if (layer == hints.size()) {
         // Unhinted verdict is final.
         if (res == z3::unsat) exhausted_ = true;
@@ -215,14 +236,14 @@ Result<z3::expr> SampleGenerator::BuildUnsatCore() {
 
 Result<std::vector<Tuple>> SampleGenerator::GenerateTrue(size_t count) {
   SIA_FAULT_INJECT("synth.sample");
-  SIA_ASSIGN_OR_RETURN(z3::expr p_true, encoder_.EncodeTrue(predicate_));
-  return Sample(p_true, count, &seen_true_, "synth.sample");
+  SIA_ASSIGN_OR_RETURN(z3::solver * solver, TrueSolver());
+  return Sample(solver, nullptr, count, "synth.sample");
 }
 
 Result<std::vector<Tuple>> SampleGenerator::GenerateFalse(size_t count) {
   SIA_FAULT_INJECT("synth.sample");
-  SIA_ASSIGN_OR_RETURN(z3::expr core, BuildUnsatCore());
-  return Sample(core, count, &seen_false_, "synth.sample");
+  SIA_ASSIGN_OR_RETURN(z3::solver * solver, FalseSolver());
+  return Sample(solver, nullptr, count, "synth.sample");
 }
 
 Result<std::vector<Tuple>> SampleGenerator::CounterTrue(
@@ -232,9 +253,9 @@ Result<std::vector<Tuple>> SampleGenerator::CounterTrue(
     return Status::InvalidArgument(
         "learned predicate uses columns outside Cols'");
   }
-  SIA_ASSIGN_OR_RETURN(z3::expr p_true, encoder_.EncodeTrue(predicate_));
+  SIA_ASSIGN_OR_RETURN(z3::solver * solver, TrueSolver());
   SIA_ASSIGN_OR_RETURN(z3::expr p1_not, encoder_.EncodeNotTrue(learned));
-  return Sample(p_true && p1_not, count, &seen_true_, "verify.cex");
+  return Sample(solver, &p1_not, count, "verify.cex");
 }
 
 Result<std::vector<Tuple>> SampleGenerator::CounterFalse(
@@ -244,9 +265,9 @@ Result<std::vector<Tuple>> SampleGenerator::CounterFalse(
     return Status::InvalidArgument(
         "learned predicate uses columns outside Cols'");
   }
-  SIA_ASSIGN_OR_RETURN(z3::expr core, BuildUnsatCore());
+  SIA_ASSIGN_OR_RETURN(z3::solver * solver, FalseSolver());
   SIA_ASSIGN_OR_RETURN(z3::expr p1_true, encoder_.EncodeTrue(learned));
-  return Sample(core && p1_true, count, &seen_false_, "verify.cex");
+  return Sample(solver, &p1_true, count, "verify.cex");
 }
 
 }  // namespace sia

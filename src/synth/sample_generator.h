@@ -2,6 +2,7 @@
 #define SIA_SYNTH_SAMPLE_GENERATOR_H_
 
 #include <cstdint>
+#include <optional>
 #include <string_view>
 #include <vector>
 
@@ -32,13 +33,27 @@ struct SampleGenOptions {
 // (FALSE samples), and the two kinds of counter-examples for one
 // (predicate, Cols') pair. It borrows the synthesis run's SmtContext, so
 // its checks share one Z3 context (and one budget) with the run's
-// verifier calls, and the iterative learning loop is incremental.
+// verifier calls.
+//
+// The iterative learning loop is incremental. The generator keeps one
+// long-lived solver per sampling role, built on the role's first use:
+//   - TRUE role (GenerateTrue, CounterTrue): p asserted once;
+//   - FALSE role (GenerateFalse, CounterFalse): the ∀-core asserted once.
+// Scopes on a role's solver:
+//   - base: the role's formula and, for every sample the role ever
+//     produced, its NotOld exclusion ¬(Cols' = t), asserted once when the
+//     sample is found (§5.3);
+//   - per Counter* call: ¬p₁ (TRUE) or p₁ (FALSE), asserted behind a fresh
+//     guard literal that the call's checks assume and that is retired
+//     (asserted false) when the call returns, so exclusions found during
+//     the call land at base and outlive it;
+//   - per check: the domain-hint layers, in a push/pop scope.
+// Every return path, errors included, leaves the solver at base scope
+// with no guard live.
 //
 // All methods return at most `count` samples; fewer (possibly zero) when
-// the space is exhausted or the solver times out. Duplicates are excluded
-// via accumulated NotOld constraints exactly as in §5.3: every sample
-// ever produced by this generator (including those fed back as counter-
-// examples) is excluded from future models.
+// the space is exhausted or the solver times out. No sample is ever
+// returned twice by one generator, counter-examples included.
 class SampleGenerator {
  public:
   // `predicate` must be bound against `schema`. `cols` is Cols' — the
@@ -81,16 +96,23 @@ class SampleGenerator {
   // Builds  ∀ other. ¬p  (or just ¬p when every column of p is in Cols').
   [[nodiscard]] Result<z3::expr> BuildUnsatCore();
 
-  // Shared sampling loop: repeatedly check `base ∧ NotOld (∧ hints)`,
-  // extract Cols' tuples, and extend NotOld. `stage` names the pipeline
-  // stage for deadline/fault reporting.
-  [[nodiscard]] Result<std::vector<Tuple>> Sample(const z3::expr& base, size_t count,
-                                    std::vector<Tuple>* seen,
-                                    std::string_view stage);
+  // The role solvers, each built with its base formula on first use.
+  [[nodiscard]] Result<z3::solver*> TrueSolver();
+  [[nodiscard]] Result<z3::solver*> FalseSolver();
 
-  // The conjunction of not-equal-to-previous-sample constraints for the
-  // given history.
-  [[nodiscard]] Result<z3::expr> NotOld(const std::vector<Tuple>& seen);
+  // Samples from `solver`, with `extra` (¬p₁ / p₁; nullptr for none) in
+  // force for this call only. `stage` names the pipeline stage for
+  // deadline/fault reporting.
+  [[nodiscard]] Result<std::vector<Tuple>> Sample(z3::solver* solver,
+                                                  const z3::expr* extra,
+                                                  size_t count,
+                                                  std::string_view stage);
+
+  // The sampling loop: repeatedly check the solver (under `assumptions`,
+  // with hints), extract a Cols' tuple and exclude it at base scope.
+  [[nodiscard]] Result<std::vector<Tuple>> SampleLoop(
+      z3::solver* solver, const z3::expr_vector& assumptions, size_t count,
+      std::string_view stage);
 
   // Optional domain-box / non-zero hint constraints, by strength layer.
   std::vector<z3::expr> HintLayers();
@@ -102,9 +124,12 @@ class SampleGenerator {
 
   SmtContext* ctx_;
   Encoder encoder_;
+  // Sampling parameters (seed, randomized simplex start) for every check.
+  z3::params params_;
 
-  std::vector<Tuple> seen_true_;
-  std::vector<Tuple> seen_false_;
+  std::optional<z3::solver> true_solver_;
+  std::optional<z3::solver> false_solver_;
+  size_t guards_ = 0;  // Counter* guard literals created so far
   bool exhausted_ = false;
   bool deadline_expired_ = false;
 

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "catalog/catalog.h"
+#include "common/fault_injection.h"
 #include "engine/executor.h"
 #include "engine/runner.h"
 #include "engine/tpch_gen.h"
@@ -92,6 +93,9 @@ TEST_F(ObsPipelineTest, StatsBridgesDoubleReportOntoRegistry) {
   // ...and the same numbers land on the registry via the bridge.
   EXPECT_EQ(CounterValue("synth.runs"), 1u);
   EXPECT_EQ(CounterValue("synth.solver_calls"), st.solver_calls);
+  EXPECT_EQ(CounterValue("synth.solver_calls"),
+            CounterValue("smt.check.calls") +
+                CounterValue("smt.optimize.calls"));
   EXPECT_EQ(CounterValue("synth.true_samples"), st.true_samples);
   EXPECT_EQ(CounterValue("synth.false_samples"), st.false_samples);
   EXPECT_EQ(CounterValue("rewrite.queries"), 1u);
@@ -109,6 +113,29 @@ TEST_F(ObsPipelineTest, StatsBridgesDoubleReportOntoRegistry) {
                 .GetHistogram("rewrite.query_ms")
                 .Count(),
             1u);
+}
+
+// synth.solver_calls counts every solver call a rewrite makes, whichever
+// rung makes it: with sampling failing, the CEGIS rungs give up and the
+// interval rung's OMT queries and checks must be counted too. synth.runs
+// still counts CEGIS runs only.
+TEST_F(ObsPipelineTest, SolverCallsCoverEveryRung) {
+  ASSERT_TRUE(FaultRegistry::Instance()
+                  .Arm("synth.sample", FaultSpec{FaultMode::kAlways})
+                  .ok());
+  const Catalog catalog = Catalog::TpchCatalog();
+  RewriteOptions opts;
+  opts.target_table = "lineitem";
+  auto outcome = RewriteQuery(kQuery, catalog, opts);
+  FaultRegistry::Instance().DisarmAll();
+  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+  EXPECT_EQ(outcome->rung, RewriteRung::kInterval);
+
+  EXPECT_GT(CounterValue("smt.optimize.calls"), 0u);
+  EXPECT_EQ(CounterValue("synth.solver_calls"),
+            CounterValue("smt.check.calls") +
+                CounterValue("smt.optimize.calls"));
+  EXPECT_EQ(CounterValue("synth.runs"), 2u);  // the full and retry rungs
 }
 
 TEST_F(ObsPipelineTest, ExecStatsBridgeOntoRegistry) {

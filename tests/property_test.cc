@@ -101,7 +101,7 @@ TEST_P(TransitiveClosureSoundness, DerivedConjunctsAreImplied) {
   s.AddColumn({"t", "a", DataType::kInteger, false});
   s.AddColumn({"t", "b", DataType::kInteger, false});
   s.AddColumn({"t", "c", DataType::kInteger, false});
-  SmtContext shared;  // one context for every check below, in sequence
+  SmtContext shared;  // one context for every run verifier below
   for (int trial = 0; trial < 8; ++trial) {
     // Comparison chains over columns and constants.
     std::vector<ExprPtr> conjuncts;
@@ -117,17 +117,59 @@ TEST_P(TransitiveClosureSoundness, DerivedConjunctsAreImplied) {
     const auto derived = TransitiveClosure(conjuncts);
     if (derived.empty()) continue;
     const ExprPtr original = CombineConjuncts(conjuncts);
+    // A synthesis run checks p₁ after p₁ against one p in one solver;
+    // no verdict may depend on the checks before it. The run verifier
+    // sees the derived conjuncts in sequence, each followed by its
+    // negation (invalid whenever the chain is satisfiable).
+    Verifier run(&shared, original, s);
     for (const ExprPtr& d : derived) {
       auto v = VerifyImplies(original, d, s);
       ASSERT_TRUE(v.ok());
       EXPECT_EQ(*v, VerifyResult::kValid)
           << original->ToString() << "  |=/=  " << d->ToString();
-      // A synthesis run verifies in one context it reuses; the verdict
-      // must not depend on what that context checked before.
-      auto reused = VerifyImplies(&shared, original, d, s);
-      ASSERT_TRUE(reused.ok());
-      EXPECT_EQ(*reused, *v)
+      auto in_run = run.Implies(d);
+      ASSERT_TRUE(in_run.ok());
+      EXPECT_EQ(*in_run, *v)
           << original->ToString() << "  |=  " << d->ToString();
+
+      const ExprPtr negated = Expr::Not(d);
+      auto one_shot = VerifyImplies(original, negated, s);
+      auto neg_in_run = run.Implies(negated);
+      ASSERT_TRUE(one_shot.ok() && neg_in_run.ok());
+      EXPECT_EQ(*neg_in_run, *one_shot)
+          << original->ToString() << "  |=  " << negated->ToString();
+    }
+  }
+}
+
+// The run verifier against the one-shot form where only a NULL tells the
+// verdict: with b nullable, `a > k AND (b > r OR b <= r)` holds for every
+// non-NULL b, so p = (a > k) implies it only if no tuple has b NULL. The
+// sequence alternates such NULL-only witnesses with valid candidates.
+TEST_P(TransitiveClosureSoundness, RunVerifierAgreesOnNullOnlyWitness) {
+  Rng rng(GetParam());
+  const Schema s = ThreeCols();  // every column nullable
+  const int64_t k = rng.Uniform(-25, 25);
+  const ExprPtr a = Expr::BoundColumn("t", "a", 0, DataType::kInteger);
+  const ExprPtr b = Expr::BoundColumn("t", "b", 1, DataType::kInteger);
+  const ExprPtr p = Expr::Compare(CompareOp::kGt, a, Expr::IntLit(k));
+  SmtContext ctx;
+  Verifier run(&ctx, p, s);
+  for (int i = 0; i < 6; ++i) {
+    const int64_t r = rng.Uniform(-25, 25);
+    const ExprPtr null_only = Expr::And(
+        {p, Expr::Or({Expr::Compare(CompareOp::kGt, b, Expr::IntLit(r)),
+                      Expr::Compare(CompareOp::kLe, b, Expr::IntLit(r))})});
+    const ExprPtr valid =
+        Expr::Compare(CompareOp::kGe, a, Expr::IntLit(k - rng.Uniform(0, 5)));
+    for (const auto& [p1, expected] :
+         {std::pair{null_only, VerifyResult::kInvalid},
+          std::pair{valid, VerifyResult::kValid}}) {
+      auto one_shot = VerifyImplies(p, p1, s);
+      auto in_run = run.Implies(p1);
+      ASSERT_TRUE(one_shot.ok() && in_run.ok());
+      EXPECT_EQ(*one_shot, expected) << p1->ToString();
+      EXPECT_EQ(*in_run, *one_shot) << p1->ToString();
     }
   }
 }
