@@ -744,21 +744,27 @@ OBS_BENCH_FILTER='BM_ParseQuery|BM_BindPredicate|BM_EngineScanFilter$'
 unset SIA_METRICS SIA_TRACE  # the guard measures the idle gate
 # Interleave separate runs of the two binaries and take the per-benchmark
 # minimum across all of them: alternation cancels machine-load drift that
-# would otherwise swamp the ~1ns/site cost being measured. SIA_THREADS=1
-# keeps pool scheduling out of the numbers: the comparison is about the
-# per-site instrumentation gate, not parallel speedup variance.
-for rep in 1 2 3; do
-  SIA_THREADS=1 "${OBS_ON_DIR}/bench/bench_micro" \
-    --benchmark_filter="${OBS_BENCH_FILTER}" \
-    --benchmark_format=json > "${OBS_ON_DIR}/obs_overhead.${rep}.json"
-  SIA_THREADS=1 "${OBS_OFF_DIR}/bench/bench_micro" \
-    --benchmark_filter="${OBS_BENCH_FILTER}" \
-    --benchmark_format=json > "${OBS_OFF_DIR}/obs_overhead.${rep}.json"
+# would otherwise swamp the ~1ns/site cost being measured. Seven rounds
+# of 2 s per benchmark (four times Google Benchmark's default) give the
+# minimum more, longer draws; three rounds at the default read host noise
+# beyond the bound on unchanged code. SIA_THREADS=1 keeps pool scheduling
+# out of the numbers: the comparison is about the per-site
+# instrumentation gate, not parallel speedup variance.
+OBS_BENCH_ARGS=(--benchmark_filter="${OBS_BENCH_FILTER}"
+                --benchmark_min_time=2 --benchmark_format=json)
+rm -f "${OBS_ON_DIR}"/obs_overhead.*.json "${OBS_OFF_DIR}"/obs_overhead.*.json
+for rep in 1 2 3 4 5 6 7; do
+  SIA_THREADS=1 "${OBS_ON_DIR}/bench/bench_micro" "${OBS_BENCH_ARGS[@]}" \
+    > "${OBS_ON_DIR}/obs_overhead.${rep}.json"
+  SIA_THREADS=1 "${OBS_OFF_DIR}/bench/bench_micro" "${OBS_BENCH_ARGS[@]}" \
+    > "${OBS_OFF_DIR}/obs_overhead.${rep}.json"
 done
 python3 - "${OBS_OVERHEAD_PCT}" \
     "${OBS_ON_DIR}"/obs_overhead.*.json -- \
     "${OBS_OFF_DIR}"/obs_overhead.*.json <<'EOF'
 import json, sys
+
+unit = {}
 
 def best(paths):
     """Min real_time per benchmark across all runs (noise floor)."""
@@ -770,6 +776,7 @@ def best(paths):
             if b.get("run_type") == "aggregate":
                 continue
             name = b["name"].split("/")[0]
+            unit[name] = b["time_unit"]
             t = float(b["real_time"])
             if name not in out or t < out[name]:
                 out[name] = t
@@ -786,7 +793,8 @@ for name in sorted(off):
         continue
     pct = (on[name] - off[name]) / off[name] * 100.0
     status = "ok" if pct <= tol else "FAIL"
-    print(f"   {name}: obs-on {on[name]:.1f}ns vs obs-off {off[name]:.1f}ns "
+    u = unit[name]
+    print(f"   {name}: obs-on {on[name]:.4g}{u} vs obs-off {off[name]:.4g}{u} "
           f"({pct:+.2f}%) {status}")
     if pct > tol:
         failed = True

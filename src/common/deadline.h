@@ -101,11 +101,6 @@ struct SolverBudget {
     return Status::Timeout("deadline exhausted in stage '" +
                            std::string(stage) + "'");
   }
-
-  // The retry rung's budget: same deadline, half the per-call cap.
-  SolverBudget WithCapHalved() const {
-    return SolverBudget{deadline, std::max<uint32_t>(1, per_call_cap_ms / 2)};
-  }
 };
 
 }  // namespace sia

@@ -206,7 +206,7 @@ void BackgroundSynthesizer::RunJob(const BackgroundJob& job) {
   RewriteCache::Entry entry;
   entry.status = run->synthesis.status;
   entry.predicate = run->learned;
-  entry.rung = static_cast<int>(run->rung);
+  entry.rung = run->rung;
   const ExprPtr predicate = entry.predicate;
   const Status published =
       cache_->CompleteSynthesis(job.bound, job.cols, std::move(entry));

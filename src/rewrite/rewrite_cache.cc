@@ -34,6 +34,18 @@ const char* EntryStateName(EntryState state) {
   return "?";
 }
 
+const char* RewriteRungName(RewriteRung rung) {
+  switch (rung) {
+    case RewriteRung::kFull:
+      return "full";
+    case RewriteRung::kInterval:
+      return "interval";
+    case RewriteRung::kOriginal:
+      return "original";
+  }
+  return "?";
+}
+
 std::string RewriteCache::MakeKey(const ExprPtr& bound_predicate,
                                   const std::vector<size_t>& cols) {
   std::string key = bound_predicate->ToString();

@@ -47,6 +47,20 @@ enum class EntryState {
 
 const char* EntryStateName(EntryState state);
 
+// Which rung of the degradation ladder (RunSynthesisLadder,
+// rewrite/sia_rewriter.h) produced a rewrite: one CEGIS run, then exact
+// single-column interval synthesis, then the original query. The
+// ordinals are pinned, with 1 unused: OBSERVE's JSON `rung` field and
+// perfbench's per-rung counts read these numbers, so renumbering would
+// silently relabel them.
+enum class RewriteRung {
+  kFull = 0,      // full CEGIS synthesis
+  kInterval = 2,  // interval-only fallback succeeded
+  kOriginal = 3,  // no rewrite: the query is returned unchanged
+};
+
+const char* RewriteRungName(RewriteRung rung);
+
 // Evidence thresholds for the promote/demote state machine. Carried by
 // the caller (service/server flags --promote-after, --demote-after,
 // --shadow-sample-rate) and passed into Decide/RecordShadow.
@@ -76,7 +90,7 @@ struct ServingDecision {
   bool shadow = false;         // caller should paranoid-run + RecordShadow
   EntryState state = EntryState::kSynthesizing;
   ExprPtr predicate;           // non-null when serve_rewrite or shadow
-  int rung = 3;                // RewriteRung ordinal; 3 == kOriginal
+  RewriteRung rung = RewriteRung::kOriginal;
 };
 
 // One shadow (paranoid cross-checked) execution's evidence.
@@ -116,10 +130,7 @@ class RewriteCache {
   struct Entry {
     SynthesisStatus status = SynthesisStatus::kNone;
     ExprPtr predicate;  // null for kNone
-    // Ordinal of the RewriteRung (rewrite/sia_rewriter.h) that produced
-    // the entry; stored as an int because that enum lives above this
-    // header in the layering. 3 == kOriginal (no rewrite).
-    int rung = 3;
+    RewriteRung rung = RewriteRung::kOriginal;  // rung that produced it
     // --- lifecycle state (set by Decide / CompleteSynthesis) ---
     EntryState state = EntryState::kPromoted;
     int wins = 0;
@@ -246,7 +257,7 @@ class RewriteCache {
   struct EntryInfo {
     std::string key;  // MakeKey's canonical form
     EntryState state = EntryState::kSynthesizing;
-    int rung = 3;
+    RewriteRung rung = RewriteRung::kOriginal;
     int wins = 0;
     int losses = 0;
     int shadow_runs = 0;

@@ -13,24 +13,9 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "parser/parser.h"
-#include "rewrite/rewrite_cache.h"
 #include "synth/interval_synthesizer.h"
 
 namespace sia {
-
-const char* RewriteRungName(RewriteRung rung) {
-  switch (rung) {
-    case RewriteRung::kFull:
-      return "full";
-    case RewriteRung::kRetry:
-      return "retry";
-    case RewriteRung::kInterval:
-      return "interval";
-    case RewriteRung::kOriginal:
-      return "original";
-  }
-  return "?";
-}
 
 namespace {
 
@@ -119,7 +104,7 @@ Result<RewriteOutcome> RewriteQueryImpl(const ParsedQuery& query,
       // Served from the cache (possibly after waiting out another
       // caller's synthesis of the key).
       outcome.from_cache = true;
-      outcome.rung = static_cast<RewriteRung>(cached->rung);
+      outcome.rung = cached->rung;
       outcome.synthesis.status = cached->status;
       outcome.synthesis.predicate = cached->predicate;
       conjoin(cached->predicate);
@@ -140,7 +125,7 @@ Result<RewriteOutcome> RewriteQueryImpl(const ParsedQuery& query,
     RewriteCache::Entry entry;
     entry.status = outcome.synthesis.status;
     entry.predicate = outcome.learned;
-    entry.rung = static_cast<int>(outcome.rung);
+    entry.rung = outcome.rung;
     // A failed publish (the cache was cleared mid-run) only means the
     // result goes uncached; it is still this query's answer.
     (void)marker->Publish(std::move(entry));
@@ -217,7 +202,7 @@ Result<LadderRun> RunSynthesisLadder(const ExprPtr& bound, const Schema& joint,
                                      const RewriteOptions& options) {
   LadderRun run;
 
-  const SynthesisOptions& base_opts = options.synthesis;
+  const SolverBudget& budget = options.synthesis.budget;
 
   // Adopts a validated predicate as the final run.
   auto adopt = [&](SynthesisResult synth, RewriteRung rung) {
@@ -226,81 +211,55 @@ Result<LadderRun> RunSynthesisLadder(const ExprPtr& bound, const Schema& joint,
     run.rung = rung;
   };
 
-  // --- Rungs 1-2: CEGIS synthesis, then a reseeded retry with a halved
-  // per-call cap ---
-  struct RungPlan {
-    RewriteRung rung;
-    SynthesisOptions opts;
-  };
-  // A different solver seed explores a different sample trajectory; a
-  // halved per-call cap and iteration count keep the retry from doubling
-  // the worst-case latency.
-  SynthesisOptions retry = base_opts;
-  retry.samples.random_seed = base_opts.samples.random_seed + 0x9e37;
-  retry.budget = base_opts.budget.WithCapHalved();
-  retry.max_iterations = std::max(1, base_opts.max_iterations / 2);
-  const RungPlan plans[] = {{RewriteRung::kFull, base_opts},
-                            {RewriteRung::kRetry, retry}};
-
-  for (const RungPlan& plan : plans) {
-    if (plan.rung != RewriteRung::kFull && base_opts.budget.Exhausted()) {
-      SIA_COUNTER_INC("rewrite.degraded.rung_skipped_deadline");
-      run.degradation.push_back(std::string(RewriteRungName(plan.rung)) +
-                                " rung skipped: deadline exhausted");
-      break;
-    }
-    obs::TraceSpan rung_span(plan.rung == RewriteRung::kFull
-                                 ? "rewrite.rung.full"
-                                 : "rewrite.rung.retry");
-    auto synth = Synthesize(bound, joint, cols, plan.opts);
+  // --- Rung 1: one CEGIS synthesis run. A degradable error, a discarded
+  // predicate or a give-up falls through to the interval rung. ---
+  {
+    SIA_TRACE_SPAN("rewrite.rung.full");
+    auto synth = Synthesize(bound, joint, cols, options.synthesis);
     if (!synth.ok()) {
       if (!IsDegradable(synth.status())) return synth.status();
       SIA_COUNTER_INC("rewrite.degraded.synthesis_failed");
-      run.degradation.push_back(std::string(RewriteRungName(plan.rung)) +
-                                " synthesis failed: " +
+      run.degradation.push_back("full synthesis failed: " +
                                 synth.status().ToString());
-      continue;
-    }
-    if (synth->has_predicate()) {
+    } else if (synth->has_predicate()) {
       const Status valid = ValidateLearned(synth->predicate, joint);
-      if (!valid.ok()) {
-        SIA_COUNTER_INC("rewrite.degraded.predicate_discarded");
-        run.degradation.push_back(std::string(RewriteRungName(plan.rung)) +
-                                  " predicate discarded: " + valid.ToString());
-        continue;
+      if (valid.ok()) {
+        adopt(std::move(*synth), RewriteRung::kFull);
+        return run;
       }
-      adopt(std::move(*synth), plan.rung);
-      return run;
-    }
-    if (!synth->solver_gave_up && !synth->deadline_expired) {
+      SIA_COUNTER_INC("rewrite.degraded.predicate_discarded");
+      run.degradation.push_back("full predicate discarded: " +
+                                valid.ToString());
+    } else if (!synth->solver_gave_up && !synth->deadline_expired) {
       // Legitimate kNone: the query is not symbolically relevant. No
       // lower rung can do better, so this is not a degradation — keep
       // the original plan and stop.
       run.synthesis = std::move(*synth);
       return run;
+    } else {
+      SIA_COUNTER_INC("rewrite.degraded.gave_up");
+      run.degradation.push_back(
+          std::string("full synthesis gave up") +
+          (synth->deadline_expired
+               ? " (deadline expired in '" + synth->timeout_stage + "')"
+               : ""));
+      run.synthesis = std::move(*synth);  // its stats and timeout stage
     }
-    SIA_COUNTER_INC("rewrite.degraded.gave_up");
-    run.degradation.push_back(
-        std::string(RewriteRungName(plan.rung)) + " synthesis gave up" +
-        (synth->deadline_expired
-             ? " (deadline expired in '" + synth->timeout_stage + "')"
-             : ""));
-    run.synthesis = std::move(*synth);  // keep the richest record
   }
 
-  // --- Rung 3: exact single-column interval synthesis. Much cheaper
+  // --- Rung 2: exact single-column interval synthesis. Much cheaper
   // than the learning loop (two OMT queries per column) and immune to
   // SVM/learner faults, at the cost of single-column box predicates. ---
   SIA_TRACE_SPAN("rewrite.rung.interval");
   for (const size_t c : cols) {
-    if (base_opts.budget.Exhausted()) {
+    if (budget.Exhausted()) {
       SIA_COUNTER_INC("rewrite.degraded.rung_skipped_deadline");
       run.degradation.push_back("interval rung skipped: deadline exhausted");
       break;
     }
     const DataType type = joint.column(c).type;
     if (!IsIntegral(type) || type == DataType::kBoolean) continue;
-    auto iv = SynthesizeInterval(bound, joint, c, base_opts.budget);
+    auto iv = SynthesizeInterval(bound, joint, c, budget);
     if (!iv.ok()) {
       if (!IsDegradable(iv.status())) return iv.status();
       SIA_COUNTER_INC("rewrite.degraded.interval_failed");
@@ -322,7 +281,7 @@ Result<LadderRun> RunSynthesisLadder(const ExprPtr& bound, const Schema& joint,
     return run;
   }
 
-  // --- Rung 4: every rung failed — run the original query unchanged.
+  // --- Rung 3: every rung failed — run the original query unchanged.
   // run.rung stays kOriginal and `degradation` says why. ---
   return run;
 }

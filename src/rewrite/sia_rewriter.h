@@ -7,11 +7,10 @@
 #include "catalog/catalog.h"
 #include "common/status.h"
 #include "parser/ast.h"
+#include "rewrite/rewrite_cache.h"
 #include "synth/synthesizer.h"
 
 namespace sia {
-
-class RewriteCache;
 
 // End-to-end query rewriting with learned predicates (the full Sia
 // pipeline of Fig. 5): parse -> bind -> synthesize a valid reduction of
@@ -37,19 +36,6 @@ struct RewriteOptions {
   // outlive the call.
   RewriteCache* cache = nullptr;
 };
-
-// Which rung of the degradation ladder produced the outcome. The ladder
-// never fails a query: synthesis trouble only ever costs the learned
-// predicate, falling through full synthesis -> reseeded budget-halved
-// retry -> exact single-column interval synthesis -> original query.
-enum class RewriteRung {
-  kFull = 0,  // full CEGIS synthesis
-  kRetry,     // budget-halved reseeded retry succeeded
-  kInterval,  // interval-only fallback succeeded
-  kOriginal,  // no rewrite: the query is returned unchanged
-};
-
-const char* RewriteRungName(RewriteRung rung);
 
 struct RewriteOutcome {
   // The rewritten query: original WHERE ∧ learned predicate. Equals the
@@ -107,11 +93,15 @@ struct LadderRun {
   std::vector<std::string> degradation;
 };
 
-// Runs the full degradation ladder (CEGIS → reseeded retry → interval
-// fallback) for one key, honoring options.synthesis.budget — the background
-// synthesizer's entry point, also the core of RewriteQuery. Never fails
-// a query for synthesis trouble; non-degradable errors (malformed
-// input) still surface.
+// Runs the degradation ladder for one key, honoring
+// options.synthesis.budget — the background synthesizer's entry point,
+// also the core of RewriteQuery. The ladder never fails a query for
+// synthesis trouble: one CEGIS run (RewriteRung::kFull); if it errors,
+// gives up or yields a predicate that fails validation, exact
+// single-column interval synthesis (kInterval); failing that, the
+// original query (kOriginal). A legitimate kNone from CEGIS stops the
+// ladder at kOriginal with no degradation note. Non-degradable errors
+// (malformed input) still surface.
 [[nodiscard]] Result<LadderRun> RunSynthesisLadder(
     const ExprPtr& bound, const Schema& joint,
     const std::vector<size_t>& cols, const RewriteOptions& options);

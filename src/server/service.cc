@@ -164,7 +164,7 @@ std::string QueryService::HandleObserve() {
     json += obs::internal::JsonEscape(info.key);
     json += "\",\"state\":\"";
     json += EntryStateName(info.state);
-    json += "\",\"rung\":" + std::to_string(info.rung);
+    json += "\",\"rung\":" + std::to_string(static_cast<int>(info.rung));
     json += ",\"wins\":" + std::to_string(info.wins);
     json += ",\"losses\":" + std::to_string(info.losses);
     json += ",\"shadow_runs\":" + std::to_string(info.shadow_runs);
@@ -222,7 +222,7 @@ std::string QueryService::HandleQuery(const std::string& sql,
       outcome.learned = decision.predicate;
       outcome.synthesis.predicate = decision.predicate;
       outcome.synthesis.status = SynthesisStatus::kValid;
-      outcome.rung = static_cast<RewriteRung>(decision.rung);
+      outcome.rung = decision.rung;
       outcome.from_cache = true;
       outcome.rewritten.where =
           Expr::Logic(LogicOp::kAnd, parsed->where, decision.predicate);

@@ -71,15 +71,5 @@ TEST(SolverBudgetTest, RequireRemainingNamesTheStage) {
   EXPECT_NE(st.message().find("synth.sample"), std::string::npos);
 }
 
-TEST(SolverBudgetTest, WithCapHalvedKeepsDeadline) {
-  const SolverBudget b{Deadline::FromNowMillis(60000), 2000};
-  const SolverBudget half = b.WithCapHalved();
-  EXPECT_EQ(half.per_call_cap_ms, 1000u);
-  EXPECT_FALSE(half.deadline.infinite());
-  // Halving saturates at 1ms instead of reaching 0 (= "no timeout").
-  const SolverBudget tiny{Deadline(), 1};
-  EXPECT_EQ(tiny.WithCapHalved().per_call_cap_ms, 1u);
-}
-
 }  // namespace
 }  // namespace sia

@@ -155,7 +155,7 @@ TEST_F(FaultSweepTest, MixedNthLatencyProbabilisticModes) {
 }
 
 TEST_F(FaultSweepTest, LadderDegradesToIntervalWhenLearnerIsDown) {
-  // With SVM training permanently broken, rungs 1-2 cannot produce a
+  // With SVM training permanently broken, the CEGIS rung cannot produce a
   // predicate; the interval rung must still find the single-column
   // reduction for this motivating-example query.
   const std::string sql =

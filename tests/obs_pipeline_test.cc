@@ -116,9 +116,9 @@ TEST_F(ObsPipelineTest, StatsBridgesDoubleReportOntoRegistry) {
 }
 
 // synth.solver_calls counts every solver call a rewrite makes, whichever
-// rung makes it: with sampling failing, the CEGIS rungs give up and the
+// rung makes it: with sampling failing, the CEGIS rung gives up and the
 // interval rung's OMT queries and checks must be counted too. synth.runs
-// still counts CEGIS runs only.
+// still counts CEGIS runs only, and a ladder makes exactly one.
 TEST_F(ObsPipelineTest, SolverCallsCoverEveryRung) {
   ASSERT_TRUE(FaultRegistry::Instance()
                   .Arm("synth.sample", FaultSpec{FaultMode::kAlways})
@@ -135,7 +135,7 @@ TEST_F(ObsPipelineTest, SolverCallsCoverEveryRung) {
   EXPECT_EQ(CounterValue("synth.solver_calls"),
             CounterValue("smt.check.calls") +
                 CounterValue("smt.optimize.calls"));
-  EXPECT_EQ(CounterValue("synth.runs"), 2u);  // the full and retry rungs
+  EXPECT_EQ(CounterValue("synth.runs"), 1u);  // the full rung only
 }
 
 TEST_F(ObsPipelineTest, ExecStatsBridgeOntoRegistry) {

@@ -284,7 +284,7 @@ TEST(NullableColumnTest, JoinResidualKeepsOnlyTrueRows) {
 RewriteCache::Entry MakeEntry(SynthesisStatus status) {
   RewriteCache::Entry e;
   e.status = status;
-  e.rung = 3;
+  e.rung = RewriteRung::kOriginal;
   return e;
 }
 
@@ -473,7 +473,7 @@ TEST(SingleFlightCacheTest, ServingDecideNeverWaitsOnASynchronousLeader) {
 
   RewriteCache::Entry entry = MakeEntry(SynthesisStatus::kValid);
   entry.predicate = key;
-  entry.rung = 0;
+  entry.rung = RewriteRung::kFull;
   ASSERT_TRUE(marker.Publish(entry).ok());
   const ServingDecision after =
       cache.Decide(key, {0}, policy, /*shadow_sampled=*/false, /*now_ms=*/0);

@@ -39,7 +39,7 @@ RewriteCache::Entry LearnedEntry(const Schema& s) {
   RewriteCache::Entry entry;
   entry.status = SynthesisStatus::kValid;
   entry.predicate = Bind(Col("x") < Lit(5), s).value();
-  entry.rung = 0;
+  entry.rung = RewriteRung::kFull;
   return entry;
 }
 
@@ -195,7 +195,7 @@ TEST(PromotionStateMachineTest, PromotesAfterKMeasuredWins) {
   EXPECT_TRUE(decision.serve_rewrite);
   EXPECT_TRUE(decision.shadow);
   EXPECT_NE(decision.predicate, nullptr);
-  EXPECT_EQ(decision.rung, 0);
+  EXPECT_EQ(decision.rung, RewriteRung::kFull);
 }
 
 TEST(PromotionStateMachineTest, WinThresholdHonorsFactorAndSlack) {

@@ -2,6 +2,9 @@
 // parser inputs, degenerate expressions, and resource edges. Nothing here
 // may crash; everything must degrade to a Status or a conservative
 // synthesis outcome.
+#include <algorithm>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "catalog/catalog.h"
@@ -12,6 +15,7 @@
 #include "ir/binder.h"
 #include "ir/builder.h"
 #include "ir/evaluator.h"
+#include "obs/metrics.h"
 #include "parser/lexer.h"
 #include "parser/parser.h"
 #include "rewrite/sia_rewriter.h"
@@ -124,6 +128,35 @@ TEST(StarvedSolverTest, StarvedEndToEndRewriteDeadline) {
   ASSERT_TRUE(again.ok());
   EXPECT_FALSE(again->changed());
   EXPECT_EQ(again->rung, RewriteRung::kOriginal);
+
+  // A 1ms per-call cap with no deadline: the solver gives up without
+  // any injected fault. Sampling this query's FALSE core takes seconds
+  // per call (template 7 of the seed-2021 workload), so CEGIS cannot
+  // finish. The ladder runs CEGIS once, notes one give-up, and moves on
+  // to the interval rung.
+  const std::string hard_false_core =
+      "SELECT * FROM lineitem, orders WHERE o_orderkey = l_orderkey "
+      "AND l_commitdate - l_receiptdate <= l_shipdate - o_orderdate + 25 "
+      "AND o_orderdate - l_commitdate < 40 "
+      "AND o_orderdate - l_receiptdate <= 45 "
+      "AND l_commitdate - o_orderdate > 19 "
+      "AND l_shipdate - l_receiptdate <= l_shipdate - o_orderdate + 83";
+  opts.synthesis.budget = SolverBudget::Unbounded(1);
+  obs::MetricsRegistry::SetEnabled(true);
+  obs::MetricsRegistry::Instance().ResetAll();
+  auto capped = RewriteQuery(hard_false_core, catalog, opts);
+  const uint64_t runs =
+      obs::MetricsRegistry::Instance().GetCounter("synth.runs").Value();
+  obs::MetricsRegistry::SetEnabled(false);
+  ASSERT_TRUE(capped.ok()) << capped.status().ToString();
+  EXPECT_NE(capped->rung, RewriteRung::kFull);
+  EXPECT_EQ(std::count_if(capped->degradation.begin(),
+                          capped->degradation.end(),
+                          [](const std::string& note) {
+                            return note.find("gave up") != std::string::npos;
+                          }),
+            1);
+  EXPECT_EQ(runs, 1u);
 }
 
 TEST(StarvedSolverTest, SynthesisRecordsDeadlineExpiry) {

@@ -70,7 +70,7 @@ TEST(ProtocolTest, ParseRequestRejectsJunk) {
 TEST(ProtocolTest, QueryReplyRoundTrip) {
   QueryReply reply;
   reply.rewritten = true;
-  reply.rung = "retry";
+  reply.rung = "interval";
   reply.from_cache = true;
   reply.rewritten_sql =
       "SELECT * FROM lineitem WHERE l_quantity >= 1 AND l_tax = 0";

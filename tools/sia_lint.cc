@@ -344,7 +344,7 @@ void PreregisterCoreMetrics() {
   reg.GetCounter("rewrite.cache.hit");
   reg.GetCounter("rewrite.cache.miss");
   reg.GetCounter("rewrite.batch.queries");
-  for (const char* rung : {"full", "retry", "interval", "original"}) {
+  for (const char* rung : {"full", "interval", "original"}) {
     reg.GetCounter(std::string("rewrite.rung.") + rung);
   }
   for (const std::string& point : sia::FaultRegistry::KnownPoints()) {
