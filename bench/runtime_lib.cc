@@ -10,7 +10,6 @@
 #include "engine/selectivity.h"
 #include "engine/tpch_gen.h"
 #include "rewrite/batch_rewriter.h"
-#include "rewrite/rewrite_cache.h"
 #include "rewrite/sia_rewriter.h"
 #include "workload/querygen.h"
 
@@ -58,15 +57,13 @@ Result<std::vector<RuntimeRecord>> RunRuntimeExperiment(
       GenerateWorkload(catalog, config.query_count, gen_opts));
 
   // Rewrite the whole workload concurrently (the §6.3 batch) before any
-  // timing: one shared single-flight cache, queries fanned out over the
-  // shared pool. Timed execution below stays in workload order.
+  // timing, fanned out over the shared pool. Timed execution below
+  // stays in workload order.
   BatchRewriteOptions batch;
   batch.rewrite.target_table = "lineitem";
   if (config.max_iterations > 0) {
     batch.rewrite.synthesis.max_iterations = config.max_iterations;
   }
-  RewriteCache cache;
-  batch.cache = &cache;
   std::vector<ParsedQuery> parsed;
   parsed.reserve(queries.size());
   for (const GeneratedQuery& q : queries) parsed.push_back(q.query);
@@ -80,7 +77,6 @@ Result<std::vector<RuntimeRecord>> RunRuntimeExperiment(
     RuntimeRecord rec;
     rec.query_index = qi;
     rec.rewritten = outcome.changed();
-    rec.from_cache = outcome.from_cache;
 
     // The original always executes — its digests feed ResultDigest for
     // every query, keeping the workload hash independent of which

@@ -16,7 +16,6 @@ namespace sia::bench {
 struct RuntimeRecord {
   size_t query_index = 0;
   bool rewritten = false;        // SIA produced a predicate
-  bool from_cache = false;       // predicate came from the shared cache
   double original_ms = 0;        // timed for every query
   double rewritten_ms = 0;       // timed only when rewritten
   double selectivity = 0;        // learned predicate on lineitem; 0 if none
@@ -40,9 +39,8 @@ struct RuntimeConfig {
   static RuntimeConfig FromEnv(double default_sf);
 };
 
-// Rewrites the workload concurrently on the shared thread pool (one
-// RewriteCache across the batch), then times original vs rewritten
-// execution per query.
+// Rewrites the workload concurrently on the shared thread pool
+// (RewriteBatch), then times original vs rewritten execution per query.
 [[nodiscard]] Result<std::vector<RuntimeRecord>> RunRuntimeExperiment(
     const RuntimeConfig& config);
 

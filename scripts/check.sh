@@ -11,7 +11,7 @@
 # Concurrency gates run as part of the standard pass:
 #   - the src/obs concurrency tests, the threading-substrate tests
 #     (tests/parallel_test.cc: ParallelFor, morsel-parallel execution,
-#     the rewrite cache's single-flight marker, the batch rewriter), the
+#     the batch rewriter's thread-count-invariant outcomes), the
 #     serving-subsystem tests (tests/server_test.cc: protocol abuse,
 #     load shedding, graceful drain) AND the online-learning state
 #     machine tests (tests/promotion_test.cc) are rebuilt and re-run
@@ -42,10 +42,11 @@
 #     pass's rows/content_hash to equal the batch sia_lint reference —
 #     the learning loop may never change an answer. The reference is
 #     computed with sia_lint --digests-out at --threads 1 AND 4, and the
-#     two files must be byte-identical (batch rewriting is deterministic
-#     through the cache's single-flight marker). SIGTERM must then drain
-#     the daemon cleanly (exit 0, DRAINED line). A 10 Hz sia_top poller
-#     runs throughout, the OBSERVE verb is fetched raw mid-burst and
+#     two files must be byte-identical (each query's ladder runs on its
+#     own Z3 context, so batch rewriting does not depend on the thread
+#     count). SIGTERM must then drain the daemon cleanly (exit 0,
+#     DRAINED line). A 10 Hz sia_top poller runs throughout, the
+#     OBSERVE verb is fetched raw mid-burst and
 #     must parse as the documented JSON schema, and the SIA_TRACE
 #     Chrome export written at drain must contain at least one trace ID
 #     whose spans link admission -> background synthesis -> promotion
@@ -702,10 +703,11 @@ fi
 # --- Concurrency gates ---------------------------------------------------
 # src/obs is lock-light by design (relaxed atomics on counters, one
 # mutex per thread-local trace ring), and the threading substrate
-# (ThreadPool, morsel-parallel execution, the rewrite cache's marker
-# protocol) is where any data race in the tree would live; run those
-# test binaries under ThreadSanitizer in a dedicated build dir. TSan is
-# incompatible with ASan, hence the separate dir.
+# (ThreadPool, morsel-parallel execution, the batch rewriter) and the
+# serving path (admission, drain, the rewrite cache's Decide marker and
+# the background lane) are where any data race in the tree would live;
+# run those test binaries under ThreadSanitizer in a dedicated build
+# dir. TSan is incompatible with ASan, hence the separate dir.
 TSAN_DIR="${BUILD_DIR}-tsan"
 echo "== obs + parallel + server + promotion concurrency tests under" \
      "ThreadSanitizer (${TSAN_DIR})"

@@ -15,8 +15,6 @@ Result<std::vector<RewriteOutcome>> RewriteBatch(
   SIA_COUNTER_ADD("rewrite.batch.queries", queries.size());
   ThreadPool& pool =
       options.pool != nullptr ? *options.pool : ThreadPool::Shared();
-  RewriteOptions per_query = options.rewrite;
-  per_query.cache = options.cache;
 
   // Grain 1: synthesis latency varies by orders of magnitude across
   // queries, so each one is its own unit of work. Outcomes land at their
@@ -25,7 +23,7 @@ Result<std::vector<RewriteOutcome>> RewriteBatch(
   SIA_RETURN_IF_ERROR(pool.ParallelFor(
       queries.size(), 1, [&](size_t begin, size_t end) -> Status {
         for (size_t i = begin; i < end; ++i) {
-          auto outcome = RewriteQuery(queries[i], catalog, per_query);
+          auto outcome = RewriteQuery(queries[i], catalog, options.rewrite);
           if (!outcome.ok()) return outcome.status();
           outcomes[i] = std::move(*outcome);
         }

@@ -66,16 +66,6 @@ std::optional<RewriteCache::Entry> RewriteCache::Lookup(
   return it->second;
 }
 
-void RewriteCache::CountLocked(bool hit) {
-  if (hit) {
-    ++hits_;
-    SIA_COUNTER_INC("rewrite.cache.hit");
-  } else {
-    ++misses_;
-    SIA_COUNTER_INC("rewrite.cache.miss");
-  }
-}
-
 ServingDecision RewriteCache::Decide(const ExprPtr& bound_predicate,
                                      const std::vector<size_t>& cols,
                                      const PromotionPolicy& policy,
@@ -84,13 +74,14 @@ ServingDecision RewriteCache::Decide(const ExprPtr& bound_predicate,
   ServingDecision decision;
   MutexLock lock(&mutex_);
   auto it = entries_.find(key);
-  CountLocked(it != entries_.end());
   if (it == entries_.end()) {
+    SIA_COUNTER_INC("rewrite.cache.miss");
     entries_[key] = NewMarker();
     decision.state = EntryState::kSynthesizing;
     decision.enqueue = true;
     return decision;
   }
+  SIA_COUNTER_INC("rewrite.cache.hit");
   Entry& entry = it->second;
   decision.state = entry.state;
   switch (entry.state) {
@@ -130,67 +121,23 @@ ServingDecision RewriteCache::Decide(const ExprPtr& bound_predicate,
   return decision;
 }
 
-std::optional<RewriteCache::Entry> RewriteCache::DecideOrWait(
-    const ExprPtr& bound_predicate, const std::vector<size_t>& cols) {
-  const std::string key = MakeKey(bound_predicate, cols);
-  MutexLock lock(&mutex_);
-  for (;;) {
-    auto it = entries_.find(key);
-    if (it == entries_.end()) {
-      CountLocked(/*hit=*/false);
-      entries_[key] = NewMarker();
-      return std::nullopt;  // the caller holds the marker now
-    }
-    if (it->second.state != EntryState::kSynthesizing) {
-      CountLocked(/*hit=*/true);
-      return it->second;
-    }
-    // Another caller holds the marker: wait until it goes away, then
-    // decide again (published: a hit; aborted or cleared: claim it).
-    ++coalesced_;
-    while (it != entries_.end() &&
-           it->second.state == EntryState::kSynthesizing) {
-      marker_cv_.Wait(&mutex_);
-      it = entries_.find(key);
-    }
-  }
-}
-
-RewriteCache::MarkerGuard::MarkerGuard(RewriteCache* cache,
-                                       ExprPtr bound_predicate,
-                                       std::vector<size_t> cols)
-    : cache_(cache),
-      bound_predicate_(std::move(bound_predicate)),
-      cols_(std::move(cols)) {}
-
-RewriteCache::MarkerGuard::~MarkerGuard() {
-  if (cache_ != nullptr) cache_->AbortSynthesis(bound_predicate_, cols_);
-}
-
-Status RewriteCache::MarkerGuard::Publish(Entry entry) {
-  RewriteCache* cache = std::exchange(cache_, nullptr);
-  return cache->CompleteSynthesis(bound_predicate_, cols_, std::move(entry),
-                                  /*trusted=*/true);
-}
-
 Status RewriteCache::CompleteSynthesis(const ExprPtr& bound_predicate,
                                        const std::vector<size_t>& cols,
-                                       Entry entry, bool trusted) {
+                                       Entry entry) {
   const std::string key = MakeKey(bound_predicate, cols);
   MutexLock lock(&mutex_);
   const auto it = entries_.find(key);
   if (it == entries_.end()) {
     return Status::NotFound("synthesis marker vanished for key '" + key +
-                            "' (aborted or cleared)");
+                            "' (aborted)");
   }
   if (it->second.state != EntryState::kSynthesizing) {
     return Status::InvalidArgument(
         std::string("illegal transition: CompleteSynthesis on a ") +
         EntryStateName(it->second.state) + " entry");
   }
-  entry.state = entry.predicate != nullptr && !trusted
-                    ? EntryState::kQuarantined
-                    : EntryState::kPromoted;
+  entry.state = entry.predicate != nullptr ? EntryState::kQuarantined
+                                            : EntryState::kPromoted;
   entry.wins = 0;
   entry.losses = 0;
   entry.shadow_runs = 0;
@@ -199,7 +146,6 @@ Status RewriteCache::CompleteSynthesis(const ExprPtr& bound_predicate,
   // the published entry keeps that link for the promotion decision.
   entry.origin_trace_id = it->second.origin_trace_id;
   it->second = std::move(entry);
-  marker_cv_.NotifyAll();
   return Status::OK();
 }
 
@@ -210,7 +156,6 @@ void RewriteCache::AbortSynthesis(const ExprPtr& bound_predicate,
   const auto it = entries_.find(key);
   if (it != entries_.end() && it->second.state == EntryState::kSynthesizing) {
     entries_.erase(it);
-    marker_cv_.NotifyAll();
   }
 }
 
@@ -291,7 +236,8 @@ Result<EntryState> RewriteCache::RecordShadow(const ExprPtr& bound_predicate,
 
 RewriteCache::Stats RewriteCache::stats() const {
   MutexLock lock(&mutex_);
-  Stats out{hits_, misses_, entries_.size(), coalesced_};
+  Stats out;
+  out.entries = entries_.size();
   for (const auto& [key, entry] : entries_) {
     switch (entry.state) {
       case EntryState::kSynthesizing:
@@ -328,15 +274,6 @@ std::vector<RewriteCache::EntryInfo> RewriteCache::EntryInfos() const {
     out.push_back(std::move(info));
   }
   return out;
-}
-
-void RewriteCache::Clear() {
-  MutexLock lock(&mutex_);
-  entries_.clear();
-  hits_ = 0;
-  misses_ = 0;
-  coalesced_ = 0;
-  marker_cv_.NotifyAll();
 }
 
 }  // namespace sia

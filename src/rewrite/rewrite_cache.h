@@ -16,12 +16,10 @@ namespace sia {
 // Lifecycle of a cache entry (see DESIGN.md "Online learning loop" for
 // the transition table):
 //
-//   (absent) --Decide/DecideOrWait miss--> kSynthesizing
-//   --CompleteSynthesis--> kQuarantined --RecordShadow wins>=K-->
-//   kPromoted                    (trusted publish: straight to kPromoted)
+//   (absent) --Decide miss--> kSynthesizing --CompleteSynthesis-->
+//   kQuarantined --RecordShadow wins>=K--> kPromoted
 //
-// kSynthesizing   one caller (a background job, or a synchronous
-//                 DecideOrWait leader) owns the key; serve the original.
+// kSynthesizing   one background job owns the key; serve the original.
 //                 AbortSynthesis (crash / error / drop / drain) erases
 //                 the marker so the key is re-claimable, never wedged.
 // kQuarantined    synthesized and paranoid-checkable, but not yet
@@ -110,21 +108,14 @@ struct ShadowOutcome {
 // Keys canonicalize through the bound predicate's printed form, which is
 // deterministic for structurally identical predicates. Thread-safe.
 //
-// One protocol, one lifecycle: the kSynthesizing marker is the only
-// single-flight mechanism. Whoever misses first on a key gets the
-// marker and must release it — CompleteSynthesis to publish,
-// AbortSynthesis to give the key back. Callers differ only in what
-// they do while a marker is held by someone else:
-//  * The serving path (Decide) never blocks: it serves the original and
-//    hands misses to a background job; entries then climb the
-//    EntryState machine on measured shadow evidence (RecordShadow).
-//  * Synchronous callers that run the ladder themselves (DecideOrWait,
-//    the RewriteQuery / RewriteBatch path) wait out another caller's
-//    marker, so N concurrent misses on one key cost one CEGIS run. They
-//    publish trusted entries (kPromoted): the caller conjoins the
-//    predicate it just synthesized and validated.
-// Both kinds may share one instance: a serving Decide on a key a
-// synchronous leader holds sees kSynthesizing and serves the original.
+// Decide is the one consultation, and it never blocks. The first miss
+// on a key inserts the kSynthesizing marker and tells its caller to
+// enqueue a background job; the job must release the marker —
+// CompleteSynthesis to publish, AbortSynthesis to give the key back.
+// Until then every request on the key serves the original, and a
+// published entry climbs the EntryState machine on measured shadow
+// evidence (RecordShadow). Synchronous rewriting (RewriteQuery,
+// RewriteBatch) runs the ladder itself and never consults a cache.
 class RewriteCache {
  public:
   struct Entry {
@@ -147,14 +138,10 @@ class RewriteCache {
     uint64_t origin_trace_id = 0;
   };
 
+  // Per-state entry counts. Hits and misses are the
+  // rewrite.cache.{hit,miss} registry counters Decide increments.
   struct Stats {
-    size_t hits = 0;
-    size_t misses = 0;
     size_t entries = 0;
-    // DecideOrWait waits on another caller's kSynthesizing marker (each
-    // waiting call still counts one hit or miss once it resolves).
-    size_t coalesced = 0;
-    // Per-state entry counts.
     size_t synthesizing = 0;
     size_t quarantined = 0;
     size_t promoted = 0;
@@ -163,7 +150,7 @@ class RewriteCache {
   };
 
   // Read-only inspector (tests, tools): the entry for the key, marker
-  // included, or nullopt. Never waits and counts neither hit nor miss.
+  // included, or nullopt. Counts neither hit nor miss.
   std::optional<Entry> Lookup(const ExprPtr& bound_predicate,
                               const std::vector<size_t>& cols)
       SIA_EXCLUDES(mutex_);
@@ -172,8 +159,9 @@ class RewriteCache {
   // (or an expired kDemoted TTL) it inserts a kSynthesizing marker and
   // asks the caller to enqueue a background job — the marker is what
   // dedups concurrent misses: exactly one caller sees enqueue == true
-  // per key. A marker held by anyone (background job or synchronous
-  // leader) reads as kSynthesizing with enqueue == false.
+  // per key. A held marker reads as kSynthesizing with enqueue == false.
+  // Counts rewrite.cache.hit when it finds an entry (marker included)
+  // and rewrite.cache.miss when it inserts one.
   // `shadow_sampled` is the caller's coin flip; Decide turns it into
   // shadow == true only for entries that can use evidence. `now_ms` is
   // any monotonic millisecond clock (injected for TTL testability).
@@ -182,58 +170,21 @@ class RewriteCache {
                          const PromotionPolicy& policy, bool shadow_sampled,
                          int64_t now_ms) SIA_EXCLUDES(mutex_);
 
-  // The blocking consultation, for callers that run the ladder on their
-  // own thread. Returns the published entry on a hit, whatever its
-  // state. On a miss it inserts a kSynthesizing marker and returns
-  // nullopt: the caller now holds the marker and must release it, which
-  // a MarkerGuard guarantees. Finding another caller's marker, it waits
-  // on the cache's condvar until CompleteSynthesis, AbortSynthesis or
-  // Clear signals, then decides again — so a failed leader hands the
-  // key to a waiter. Counts one hit or miss per call.
-  std::optional<Entry> DecideOrWait(const ExprPtr& bound_predicate,
-                                    const std::vector<size_t>& cols)
-      SIA_EXCLUDES(mutex_);
-
   // Publishes a finished synthesis: kSynthesizing → kQuarantined
   // (entries with a learned predicate) or kPromoted (nothing to learn —
-  // serving the original is the verified answer). A `trusted` publish
-  // (the synchronous path, which validated the predicate it conjoins)
-  // goes straight to kPromoted. Any other current state is an illegal
-  // transition and returns kInvalidArgument; a vanished marker returns
-  // kNotFound (the job was aborted or the cache cleared while it ran).
+  // serving the original is the verified answer). Any other current
+  // state is an illegal transition and returns kInvalidArgument; a
+  // vanished marker returns kNotFound (the job was aborted meanwhile).
   [[nodiscard]] Status CompleteSynthesis(const ExprPtr& bound_predicate,
                                          const std::vector<size_t>& cols,
-                                         Entry entry, bool trusted = false)
-      SIA_EXCLUDES(mutex_);
+                                         Entry entry) SIA_EXCLUDES(mutex_);
 
   // Releases a kSynthesizing marker without publishing — the crashed /
   // failed / dropped / drained path. The key becomes re-claimable (the
-  // next miss enqueues or synthesizes again) and DecideOrWait waiters
-  // wake; entries in any other state are left untouched.
+  // next miss enqueues again); entries in any other state are left
+  // untouched.
   void AbortSynthesis(const ExprPtr& bound_predicate,
                       const std::vector<size_t>& cols) SIA_EXCLUDES(mutex_);
-
-  // Scoped owner of a marker a DecideOrWait miss handed out. Publish()
-  // completes it as a trusted entry; a guard destroyed unpublished — an
-  // error return or an exception out of the ladder — aborts it, so
-  // waiters are never stranded and errors are never cached.
-  class MarkerGuard {
-   public:
-    MarkerGuard(RewriteCache* cache, ExprPtr bound_predicate,
-                std::vector<size_t> cols);
-    ~MarkerGuard();
-    MarkerGuard(const MarkerGuard&) = delete;
-    MarkerGuard& operator=(const MarkerGuard&) = delete;
-
-    // CompleteSynthesis(..., trusted = true); the guard is released
-    // either way. kNotFound when Clear() dropped the marker mid-run.
-    [[nodiscard]] Status Publish(Entry entry);
-
-   private:
-    RewriteCache* cache_;  // null once published
-    ExprPtr bound_predicate_;
-    std::vector<size_t> cols_;
-  };
 
   // Folds one shadow execution's evidence into the entry and returns the
   // resulting state. Promotion: a quarantined, unpoisoned entry reaching
@@ -248,10 +199,6 @@ class RewriteCache {
       int64_t now_ms) SIA_EXCLUDES(mutex_);
 
   Stats stats() const SIA_EXCLUDES(mutex_);
-  // Drops every entry, markers included, and wakes DecideOrWait waiters
-  // (one of them claims the key anew). A leader whose marker was dropped
-  // gets kNotFound from its publish unless a new marker took its place.
-  void Clear() SIA_EXCLUDES(mutex_);
 
   // One entry's observable lifecycle state, for OBSERVE / sia_top.
   struct EntryInfo {
@@ -272,22 +219,12 @@ class RewriteCache {
   static std::string MakeKey(const ExprPtr& bound_predicate,
                              const std::vector<size_t>& cols);
 
-  // Counts one consultation's outcome: the stats and the
-  // rewrite.cache.{hit,miss} counters. Decide and DecideOrWait are the
-  // only callers.
-  void CountLocked(bool hit) SIA_REQUIRES(mutex_);
-
   // Leaf lock; never held across synthesis (a marker holder runs the
   // ladder unlocked), so a slow solver cannot serialize unrelated
-  // lookups. The obs registry lock may be taken under it (promotion
-  // counters).
+  // lookups. The obs registry lock may be taken under it (hit/miss and
+  // promotion counters).
   mutable Mutex mutex_;
-  // Signalled whenever a marker goes away (publish, abort, Clear).
-  CondVar marker_cv_;
   std::map<std::string, Entry> entries_ SIA_GUARDED_BY(mutex_);
-  size_t hits_ SIA_GUARDED_BY(mutex_) = 0;
-  size_t misses_ SIA_GUARDED_BY(mutex_) = 0;
-  size_t coalesced_ SIA_GUARDED_BY(mutex_) = 0;
 };
 
 }  // namespace sia

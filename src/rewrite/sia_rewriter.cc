@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <optional>
 #include <set>
 
 #include "check/expr_validator.h"
@@ -70,7 +69,7 @@ Status ValidateLearned(const ExprPtr& learned, const Schema& joint) {
   return cnf.ToStatus("learned predicate CNF");
 }
 
-// The ladder itself; the public RewriteQuery wraps this with the
+// Key, ladder, conjoin; the public RewriteQuery wraps this with the
 // rewrite.query span, latency histogram, and per-rung counters.
 Result<RewriteOutcome> RewriteQueryImpl(const ParsedQuery& query,
                                         const Catalog& catalog,
@@ -82,53 +81,15 @@ Result<RewriteOutcome> RewriteQueryImpl(const ParsedQuery& query,
   if (!key.synthesizable) {
     return outcome;  // nothing to synthesize from; serve the original
   }
-  const ExprPtr& bound = key.bound;
-  const Schema& joint = key.joint;
-  const std::vector<size_t>& cols = key.cols;
-
-  // Conjoins a learned predicate (bound against the joint schema of the
-  // key, so a cached one conjoins exactly as where it was synthesized).
-  auto conjoin = [&](const ExprPtr& learned) {
-    outcome.learned = learned;
-    if (learned != nullptr) {
-      outcome.rewritten.where =
-          Expr::Logic(LogicOp::kAnd, query.where, learned);
-    }
-  };
-
-  std::optional<RewriteCache::MarkerGuard> marker;
-  if (options.cache != nullptr) {
-    std::optional<RewriteCache::Entry> cached =
-        options.cache->DecideOrWait(bound, cols);
-    if (cached.has_value()) {
-      // Served from the cache (possibly after waiting out another
-      // caller's synthesis of the key).
-      outcome.from_cache = true;
-      outcome.rung = cached->rung;
-      outcome.synthesis.status = cached->status;
-      outcome.synthesis.predicate = cached->predicate;
-      conjoin(cached->predicate);
-      return outcome;
-    }
-    // This call holds the key's marker; an error or exception out of the
-    // ladder below aborts it, handing the key to a waiter.
-    marker.emplace(options.cache, bound, cols);
-  }
-
-  SIA_ASSIGN_OR_RETURN(LadderRun run,
-                       RunSynthesisLadder(bound, joint, cols, options));
+  SIA_ASSIGN_OR_RETURN(LadderRun run, RunSynthesisLadder(key.bound, key.joint,
+                                                         key.cols, options));
   outcome.synthesis = std::move(run.synthesis);
+  outcome.learned = std::move(run.learned);
   outcome.rung = run.rung;
   outcome.degradation = std::move(run.degradation);
-  conjoin(run.learned);
-  if (marker.has_value()) {
-    RewriteCache::Entry entry;
-    entry.status = outcome.synthesis.status;
-    entry.predicate = outcome.learned;
-    entry.rung = outcome.rung;
-    // A failed publish (the cache was cleared mid-run) only means the
-    // result goes uncached; it is still this query's answer.
-    (void)marker->Publish(std::move(entry));
+  if (outcome.learned != nullptr) {
+    outcome.rewritten.where =
+        Expr::Logic(LogicOp::kAnd, query.where, outcome.learned);
   }
   return outcome;
 }

@@ -25,16 +25,6 @@ struct RewriteOptions {
   // Synthesis configuration. Its `budget` is the rewrite's only time
   // budget, shared by every rung of the degradation ladder.
   SynthesisOptions synthesis;
-  // Optional shared synthesis cache (rewrite/rewrite_cache.h), keyed by
-  // (bound WHERE, Cols'). When set, the call consults it with the
-  // blocking RewriteCache::DecideOrWait: a hit is served from the cache;
-  // a miss claims the key's kSynthesizing marker, runs the ladder, and
-  // publishes a trusted (kPromoted) entry — or, on error, releases the
-  // marker. A repeated predicate pays the CEGIS cost once per process,
-  // and concurrent batch workers missing on one key wait for the single
-  // ladder run instead of duplicating it. Borrowed, not owned; must
-  // outlive the call.
-  RewriteCache* cache = nullptr;
 };
 
 struct RewriteOutcome {
@@ -54,11 +44,6 @@ struct RewriteOutcome {
   // One human-readable note per abandoned rung, in ladder order. Empty
   // when the first attempt succeeded or there was nothing to synthesize.
   std::vector<std::string> degradation;
-  // True when the learned predicate (or the "nothing learned" record)
-  // was served from RewriteOptions::cache rather than synthesized in
-  // this call. Cached outcomes carry no stats or degradation notes —
-  // those belong to the call that ran the ladder.
-  bool from_cache = false;
 
   bool changed() const { return learned != nullptr; }
 };
@@ -106,9 +91,13 @@ struct LadderRun {
     const ExprPtr& bound, const Schema& joint,
     const std::vector<size_t>& cols, const RewriteOptions& options);
 
-// Rewrites `query` (which must reference `options.target_table` in FROM).
-// Returns the outcome even when no predicate could be learned (status
-// kNone, rewritten == query); errors indicate malformed input.
+// Rewrites `query` (which must reference `options.target_table` in FROM):
+// MakeRewriteKey, then RunSynthesisLadder, then the learned predicate
+// conjoined onto the WHERE clause. Every call runs the ladder; no cache
+// is consulted (the serving path reaches the RewriteCache through
+// RewriteCache::Decide). Returns the outcome even when no predicate
+// could be learned (status kNone, rewritten == query); errors indicate
+// malformed input.
 [[nodiscard]] Result<RewriteOutcome> RewriteQuery(const ParsedQuery& query,
                                     const Catalog& catalog,
                                     const RewriteOptions& options);

@@ -62,7 +62,7 @@ struct Request {
 struct QueryReply {
   bool rewritten = false;    // a predicate was learned and conjoined
   std::string rung;          // degradation-ladder rung name
-  bool from_cache = false;   // served by the shared RewriteCache
+  bool from_cache = false;   // a promoted cached rewrite was served
   uint64_t sql_hash = 0;     // Fnv1a64 of the rewritten SQL text
   std::string rewritten_sql;
   int64_t queue_us = 0;      // admission-queue wait

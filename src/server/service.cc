@@ -34,7 +34,6 @@ QueryReply ReplyFromOutcome(const RewriteOutcome& outcome) {
   QueryReply reply;
   reply.rewritten = outcome.changed();
   reply.rung = RewriteRungName(outcome.rung);
-  reply.from_cache = outcome.from_cache;
   reply.rewritten_sql = outcome.rewritten.ToString();
   reply.sql_hash = Fnv1a64(reply.rewritten_sql);
   return reply;
@@ -223,13 +222,13 @@ std::string QueryService::HandleQuery(const std::string& sql,
       outcome.synthesis.predicate = decision.predicate;
       outcome.synthesis.status = SynthesisStatus::kValid;
       outcome.rung = decision.rung;
-      outcome.from_cache = true;
       outcome.rewritten.where =
           Expr::Logic(LogicOp::kAnd, parsed->where, decision.predicate);
     }
   }
 
   QueryReply fields = ReplyFromOutcome(outcome);
+  fields.from_cache = decision.serve_rewrite;
   fields.queue_us = queue_us;
   fields.rewrite_us = ElapsedMicros(rewrite_start);
 

@@ -16,12 +16,12 @@ namespace sia {
 
 // Owns a z3::context, the variable caches and the solver budget of one
 // synthesis run: Synthesize builds one and lends it to its sampler and
-// verifier calls, SynthesizeInterval one for its OMT queries and hole
-// check, so every solver call of a run shares one context and draws
-// from one budget. Z3
-// contexts are not thread-safe, and a context's history steers the
-// models it returns, so a context belongs to exactly one run — never to
-// a thread or a process, or answers would depend on scheduling.
+// verifier calls, SynthesizeInterval one for its OMT queries and
+// satisfiability check, so every solver call of a run shares one
+// context and draws from one budget. Z3 contexts are not thread-safe,
+// and a context's history steers the models it returns, so a context
+// belongs to exactly one run — never to a thread or a process, or
+// answers would depend on scheduling.
 //
 // Naming scheme: column i gets value variable "c<i>" (Int sort for
 // INTEGER/DATE/TIMESTAMP, Real for DOUBLE) and null-flag "n<i>" (Bool).

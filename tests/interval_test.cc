@@ -37,7 +37,7 @@ TEST(IntervalSynthesizerTest, TwoSidedBound) {
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   ASSERT_TRUE(r->has_predicate());
   EXPECT_EQ(r->predicate->ToString(), "t.a <= 18");
-  EXPECT_EQ(r->status, SynthesisStatus::kOptimal);
+  EXPECT_EQ(r->status, SynthesisStatus::kValid);  // every hull is kValid
 
   auto valid = VerifyImplies(p, r->predicate, s);
   ASSERT_TRUE(valid.ok());
@@ -53,13 +53,13 @@ TEST(IntervalSynthesizerTest, BothSidesBounded) {
   ASSERT_TRUE(r.ok());
   ASSERT_TRUE(r->has_predicate());
   EXPECT_EQ(r->predicate->ToString(), "t.a >= 11 AND t.a <= 50");
-  EXPECT_EQ(r->status, SynthesisStatus::kOptimal);
+  EXPECT_EQ(r->status, SynthesisStatus::kValid);  // every hull is kValid
 }
 
 TEST(IntervalSynthesizerTest, HoleMakesHullSuboptimal) {
   Schema s = Abc();
   // a in [0,10] or [20,30] (b selects the branch): hull is [0,30] which
-  // accepts the unsatisfiable gap (11..19) -> valid but NOT optimal.
+  // accepts the unsatisfiable gap (11..19) -> valid, like every hull.
   ExprPtr p = BindOrDie(((Col("a") >= Lit(0)) && (Col("a") <= Lit(10)) &&
                          (Col("b") == Lit(0))) ||
                             ((Col("a") >= Lit(20)) && (Col("a") <= Lit(30)) &&
@@ -81,7 +81,7 @@ TEST(IntervalSynthesizerTest, PointInterval) {
   ASSERT_TRUE(r.ok());
   ASSERT_TRUE(r->has_predicate());
   EXPECT_EQ(r->predicate->ToString(), "t.a = 7");
-  EXPECT_EQ(r->status, SynthesisStatus::kOptimal);
+  EXPECT_EQ(r->status, SynthesisStatus::kValid);  // every hull is kValid
 }
 
 TEST(IntervalSynthesizerTest, UnboundedColumnYieldsNone) {
@@ -122,21 +122,22 @@ TEST(IntervalSynthesizerTest, RejectsUnreferencedColumn) {
 }
 
 TEST(IntervalSynthesizerTest, AgreesWithCegisOnSimpleCases) {
-  // On one-column problems where CEGIS converges to optimal, the two
-  // synthesizers must describe the same set of accepted values.
+  // On one-column problems without holes, where CEGIS converges to
+  // optimal, the hull must describe the same set of accepted values.
   Schema s = Abc();
   const std::vector<ExprPtr> predicates = {
       BindOrDie((Col("a") - Col("b") < Lit(20)) && (Col("b") < Lit(0)), s),
       BindOrDie((Col("a") + Col("b") <= Lit(100)) && (Col("b") >= Lit(60)),
                 s),
   };
+  int compared = 0;
   for (const ExprPtr& p : predicates) {
     auto interval = SynthesizeInterval(p, s, 0);
     ASSERT_TRUE(interval.ok());
     auto cegis = Synthesize(p, s, {0});
     ASSERT_TRUE(cegis.ok());
-    if (cegis->status == SynthesisStatus::kOptimal &&
-        interval->status == SynthesisStatus::kOptimal) {
+    if (cegis->status == SynthesisStatus::kOptimal) {
+      ++compared;
       auto eq = VerifyEquivalent(interval->predicate, cegis->predicate, s);
       ASSERT_TRUE(eq.ok());
       EXPECT_EQ(*eq, VerifyResult::kValid)
@@ -144,6 +145,7 @@ TEST(IntervalSynthesizerTest, AgreesWithCegisOnSimpleCases) {
           << " vs cegis: " << cegis->predicate->ToString();
     }
   }
+  EXPECT_GT(compared, 0);  // the comparison must not be vacuous
 }
 
 }  // namespace

@@ -1,13 +1,12 @@
 // Threading substrate and morsel-parallel engine tests. Everything here
 // is meant to run under ThreadSanitizer (scripts/check.sh builds this
 // target into the TSan tree): the assertions are about determinism —
-// byte-identical query output at every thread count — and about the
-// rewrite cache's kSynthesizing marker running exactly one synthesis per
-// key no matter how many workers race on it.
+// byte-identical query output at every thread count — and the batch
+// rewriter's outcomes, which must not depend on how many workers share
+// the batch.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -15,7 +14,6 @@
 
 #include "catalog/catalog.h"
 #include "common/thread_pool.h"
-#include "common/sync.h"
 #include "engine/column_table.h"
 #include "engine/executor.h"
 #include "engine/runner.h"
@@ -25,7 +23,6 @@
 #include "ir/builder.h"
 #include "parser/parser.h"
 #include "rewrite/batch_rewriter.h"
-#include "rewrite/rewrite_cache.h"
 #include "rewrite/sia_rewriter.h"
 #include "workload/querygen.h"
 
@@ -279,325 +276,71 @@ TEST(NullableColumnTest, JoinResidualKeepsOnlyTrueRows) {
   EXPECT_EQ(out->row_count, 45u);
 }
 
-// --- RewriteCache single-flight ---------------------------------------------
-
-RewriteCache::Entry MakeEntry(SynthesisStatus status) {
-  RewriteCache::Entry e;
-  e.status = status;
-  e.rung = RewriteRung::kOriginal;
-  return e;
-}
-
-ExprPtr CacheKey() {
-  Schema s;
-  s.AddColumn({"t", "x", DataType::kInteger, false});
-  return Bind(Col("x") < Lit(7), s).value();
-}
-
-// The synchronous protocol RewriteQuery runs against a cache: a hit is
-// returned; a miss claims the key's marker, runs `synthesize`, and
-// publishes its entry — an error (or exception) releases the marker.
-template <typename F>
-Result<RewriteCache::Entry> DecideAndRun(RewriteCache& cache,
-                                         const ExprPtr& key, F&& synthesize) {
-  if (auto hit = cache.DecideOrWait(key, {0})) return *hit;
-  RewriteCache::MarkerGuard marker(&cache, key, {0});
-  SIA_ASSIGN_OR_RETURN(RewriteCache::Entry entry, synthesize());
-  SIA_RETURN_IF_ERROR(marker.Publish(entry));
-  return entry;
-}
-
-// Spins until `cache` has seen `n` waits on a marker (bounded at 30 s so a
-// broken protocol fails the test instead of hanging it).
-void AwaitCoalesced(const RewriteCache& cache, size_t n) {
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  while (cache.stats().coalesced < n &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-}
-
-TEST(SingleFlightCacheTest, ExactlyOneSynthesisUnderEightRacingWorkers) {
-  RewriteCache cache;
-  const ExprPtr key = CacheKey();
-
-  std::atomic<int> calls{0};
-  constexpr int kWorkers = 8;
-  auto synthesize = [&]() -> Result<RewriteCache::Entry> {
-    calls.fetch_add(1);
-    // Hold the marker until every other worker has parked on it, so
-    // "they were all really racing" is guaranteed, not timing-dependent.
-    // stats() only takes the cache mutex, which the marker holder does
-    // NOT hold while synthesizing.
-    AwaitCoalesced(cache, kWorkers - 1);
-    return MakeEntry(SynthesisStatus::kOptimal);
-  };
-
-  std::vector<Thread> workers;
-  std::atomic<int> ok_results{0};
-  for (int w = 0; w < kWorkers; ++w) {
-    workers.emplace_back([&] {
-      auto r = DecideAndRun(cache, key, synthesize);
-      if (r.ok() && r->status == SynthesisStatus::kOptimal) {
-        ok_results.fetch_add(1);
-      }
-    });
-  }
-  for (Thread& t : workers) t.Join();
-
-  EXPECT_EQ(calls.load(), 1);
-  EXPECT_EQ(ok_results.load(), kWorkers);
-  const RewriteCache::Stats st = cache.stats();
-  EXPECT_EQ(st.misses, 1u);
-  EXPECT_EQ(st.hits, static_cast<size_t>(kWorkers - 1));
-  EXPECT_EQ(st.coalesced, static_cast<size_t>(kWorkers - 1));
-  EXPECT_EQ(st.entries, 1u);
-  EXPECT_EQ(st.promoted, 1u);  // a synchronous publish is trusted
-}
-
-TEST(SingleFlightCacheTest, FailedLeaderDoesNotPoisonTheKey) {
-  RewriteCache cache;
-  const ExprPtr key = CacheKey();
-
-  std::atomic<int> calls{0};
-  auto failing = [&]() -> Result<RewriteCache::Entry> {
-    calls.fetch_add(1);
-    return Status::Internal("solver fell over");
-  };
-  auto r1 = DecideAndRun(cache, key, failing);
-  ASSERT_FALSE(r1.ok());
-  EXPECT_EQ(cache.stats().entries, 0u);  // errors are not cached
-
-  auto r2 = DecideAndRun(cache, key, [&]() -> Result<RewriteCache::Entry> {
-    calls.fetch_add(1);
-    return MakeEntry(SynthesisStatus::kValid);
-  });
-  ASSERT_TRUE(r2.ok());
-  EXPECT_EQ(r2->status, SynthesisStatus::kValid);
-  EXPECT_EQ(calls.load(), 2);
-  EXPECT_EQ(cache.stats().entries, 1u);
-}
-
-TEST(SingleFlightCacheTest, WaiterTakesOverWhenLeaderFails) {
-  RewriteCache cache;
-  const ExprPtr key = CacheKey();
-
-  std::atomic<int> calls{0};
-  auto synthesize = [&]() -> Result<RewriteCache::Entry> {
-    const int call = calls.fetch_add(1);
-    if (call == 0) {
-      // First leader: wait until the other worker is parked on the
-      // marker, then fail — forcing the handoff.
-      AwaitCoalesced(cache, 1);
-      return Status::Internal("first attempt failed");
-    }
-    return MakeEntry(SynthesisStatus::kValid);
-  };
-
-  std::atomic<int> successes{0};
-  Thread a([&] {
-    if (DecideAndRun(cache, key, synthesize).ok()) successes.fetch_add(1);
-  });
-  Thread b([&] {
-    if (DecideAndRun(cache, key, synthesize).ok()) successes.fetch_add(1);
-  });
-  a.Join();
-  b.Join();
-
-  // One worker got the error, the other took over, synthesized, and
-  // succeeded; both synthesize attempts ran.
-  EXPECT_EQ(calls.load(), 2);
-  EXPECT_EQ(successes.load(), 1);
-  EXPECT_EQ(cache.stats().entries, 1u);
-}
-
-TEST(SingleFlightCacheTest, ExceptionInGuardScopeReleasesTheMarker) {
-  RewriteCache cache;
-  const ExprPtr key = CacheKey();
-
-  // A leader whose ladder throws, with a second caller parked on its
-  // marker: unwinding the guard must wake the waiter, which claims the
-  // key and publishes.
-  std::atomic<bool> leader_threw{false};
-  std::atomic<bool> waiter_led{false};
-  ASSERT_FALSE(cache.DecideOrWait(key, {0}).has_value());
-  Thread waiter([&] {
-    auto r = DecideAndRun(cache, key, [&]() -> Result<RewriteCache::Entry> {
-      waiter_led.store(true);
-      return MakeEntry(SynthesisStatus::kNone);
-    });
-    EXPECT_TRUE(r.ok());
-  });
-  try {
-    RewriteCache::MarkerGuard marker(&cache, key, {0});
-    AwaitCoalesced(cache, 1);
-    throw std::runtime_error("boom");
-  } catch (const std::runtime_error&) {
-    leader_threw.store(true);
-  }
-  waiter.Join();
-  EXPECT_TRUE(leader_threw.load());
-  EXPECT_TRUE(waiter_led.load());
-  EXPECT_EQ(cache.stats().entries, 1u);
-
-  // Without a waiter the released key is simply claimable again.
-  cache.Clear();
-  ASSERT_FALSE(cache.DecideOrWait(key, {0}).has_value());
-  try {
-    RewriteCache::MarkerGuard marker(&cache, key, {0});
-    throw std::runtime_error("boom");
-  } catch (const std::runtime_error&) {
-  }
-  EXPECT_FALSE(cache.Lookup(key, {0}).has_value());  // nothing cached
-  auto r = DecideAndRun(cache, key, [] {
-    return Result<RewriteCache::Entry>(MakeEntry(SynthesisStatus::kNone));
-  });
-  EXPECT_TRUE(r.ok());
-  EXPECT_EQ(cache.stats().misses, 2u);
-}
-
-TEST(SingleFlightCacheTest, ServingDecideNeverWaitsOnASynchronousLeader) {
-  RewriteCache cache;
-  const ExprPtr key = CacheKey();
-  const PromotionPolicy policy;
-
-  ASSERT_FALSE(cache.DecideOrWait(key, {0}).has_value());
-  RewriteCache::MarkerGuard marker(&cache, key, {0});
-  // Same thread, marker held: a Decide that waited would deadlock here.
-  const ServingDecision during =
-      cache.Decide(key, {0}, policy, /*shadow_sampled=*/false, /*now_ms=*/0);
-  EXPECT_EQ(during.state, EntryState::kSynthesizing);
-  EXPECT_FALSE(during.enqueue);  // the synchronous leader owns the key
-  EXPECT_FALSE(during.serve_rewrite);
-
-  RewriteCache::Entry entry = MakeEntry(SynthesisStatus::kValid);
-  entry.predicate = key;
-  entry.rung = RewriteRung::kFull;
-  ASSERT_TRUE(marker.Publish(entry).ok());
-  const ServingDecision after =
-      cache.Decide(key, {0}, policy, /*shadow_sampled=*/false, /*now_ms=*/0);
-  EXPECT_EQ(after.state, EntryState::kPromoted);
-  EXPECT_TRUE(after.serve_rewrite);
-}
-
-TEST(SingleFlightCacheTest, ClearWakesAWaiterWhichBecomesLeader) {
-  RewriteCache cache;
-  const ExprPtr key = CacheKey();
-
-  ASSERT_FALSE(cache.DecideOrWait(key, {0}).has_value());
-  RewriteCache::MarkerGuard stale(&cache, key, {0});
-  std::atomic<bool> waiter_led{false};
-  Thread waiter([&] {
-    auto r = DecideAndRun(cache, key, [&]() -> Result<RewriteCache::Entry> {
-      waiter_led.store(true);
-      return MakeEntry(SynthesisStatus::kOptimal);
-    });
-    EXPECT_TRUE(r.ok());
-  });
-  AwaitCoalesced(cache, 1);
-  cache.Clear();  // drops the held marker and wakes the waiter
-  waiter.Join();
-  EXPECT_TRUE(waiter_led.load());
-
-  // The cleared leader's publish cannot clobber the new leader's entry.
-  EXPECT_FALSE(stale.Publish(MakeEntry(SynthesisStatus::kNone)).ok());
-  const auto entry = cache.Lookup(key, {0});
-  ASSERT_TRUE(entry.has_value());
-  EXPECT_EQ(entry->status, SynthesisStatus::kOptimal);
-
-  // With nobody re-claiming the key, a cleared marker's publish is
-  // kNotFound and nothing is cached.
-  cache.Clear();
-  ASSERT_FALSE(cache.DecideOrWait(key, {0}).has_value());
-  RewriteCache::MarkerGuard cleared(&cache, key, {0});
-  cache.Clear();
-  EXPECT_EQ(cleared.Publish(MakeEntry(SynthesisStatus::kNone)).code(),
-            StatusCode::kNotFound);
-  EXPECT_EQ(cache.stats().entries, 0u);
-}
-
 // --- Batch rewriter ---------------------------------------------------------
 
-std::vector<std::string> BatchRewriteSql(size_t threads, size_t queries,
-                                         RewriteCache* cache) {
-  const Catalog catalog = Catalog::TpchCatalog();
-  QueryGenOptions gen;
-  gen.seed = 2021;
-  auto workload = GenerateWorkload(catalog, queries, gen);
-  EXPECT_TRUE(workload.ok()) << workload.status().ToString();
-
-  std::vector<ParsedQuery> parsed;
-  for (const GeneratedQuery& q : *workload) parsed.push_back(q.query);
-
+Result<std::vector<RewriteOutcome>> RunBatch(
+    size_t threads, const std::vector<ParsedQuery>& queries) {
   ThreadPool pool(threads);
   BatchRewriteOptions options;
   options.rewrite.target_table = "lineitem";
   options.rewrite.synthesis.max_iterations = 1;  // fast and deterministic
-  options.cache = cache;
   options.pool = &pool;
-  auto outcomes = RewriteBatch(parsed, catalog, options);
-  EXPECT_TRUE(outcomes.ok()) << outcomes.status().ToString();
+  return RewriteBatch(queries, Catalog::TpchCatalog(), options);
+}
 
+std::vector<ParsedQuery> Workload(size_t queries) {
+  QueryGenOptions gen;
+  gen.seed = 2021;
+  auto workload = GenerateWorkload(Catalog::TpchCatalog(), queries, gen);
+  EXPECT_TRUE(workload.ok()) << workload.status().ToString();
+  std::vector<ParsedQuery> parsed;
+  for (const GeneratedQuery& q : *workload) parsed.push_back(q.query);
+  return parsed;
+}
+
+std::vector<std::string> BatchRewriteSql(size_t threads,
+                                         const std::vector<ParsedQuery>& in) {
+  auto outcomes = RunBatch(threads, in);
+  EXPECT_TRUE(outcomes.ok()) << outcomes.status().ToString();
   std::vector<std::string> sql;
   for (const RewriteOutcome& o : *outcomes) {
-    sql.push_back(o.changed() ? o.rewritten.where->ToString() : "<unchanged>");
+    sql.push_back(o.changed() ? o.rewritten.ToString() : "<unchanged>");
   }
   return sql;
 }
 
 TEST(BatchRewriterTest, SameSeedSameThreadsIsDeterministic) {
-  RewriteCache cache_a, cache_b;
-  const auto a = BatchRewriteSql(4, 4, &cache_a);
-  const auto b = BatchRewriteSql(4, 4, &cache_b);
-  EXPECT_EQ(a, b);
+  EXPECT_EQ(BatchRewriteSql(4, Workload(4)), BatchRewriteSql(4, Workload(4)));
 }
 
 TEST(BatchRewriterTest, ThreadCountDoesNotChangeOutcomes) {
-  RewriteCache cache_serial, cache_parallel;
-  const auto serial = BatchRewriteSql(1, 4, &cache_serial);
-  const auto parallel = BatchRewriteSql(4, 4, &cache_parallel);
-  EXPECT_EQ(serial, parallel);
+  EXPECT_EQ(BatchRewriteSql(1, Workload(4)), BatchRewriteSql(4, Workload(4)));
 }
 
-TEST(BatchRewriterTest, IdenticalQueriesCoalesceOntoOneSynthesis) {
-  const Catalog catalog = Catalog::TpchCatalog();
-  QueryGenOptions gen;
-  gen.seed = 2021;
-  auto workload = GenerateWorkload(catalog, 1, gen);
-  ASSERT_TRUE(workload.ok()) << workload.status().ToString();
+TEST(BatchRewriterTest, IdenticalQueriesGetIdenticalRewrites) {
+  // Six copies of one query (the third of the stream, which one
+  // iteration rewrites), four workers: each copy runs its own ladder,
+  // and all six come back with the same rewritten SQL.
+  const std::vector<ParsedQuery> parsed(6, Workload(3)[2]);
+  const std::vector<std::string> sql = BatchRewriteSql(4, parsed);
+  ASSERT_EQ(sql.size(), 6u);
+  EXPECT_NE(sql[0], "<unchanged>");
+  for (const std::string& s : sql) EXPECT_EQ(s, sql[0]);
+}
 
-  // Six copies of the same query: one synthesis, five cache hits (any
-  // of which may additionally have coalesced onto the in-flight run).
-  std::vector<ParsedQuery> parsed(6, (*workload)[0].query);
-
-  ThreadPool pool(4);
-  RewriteCache cache;
-  BatchRewriteOptions options;
-  options.rewrite.target_table = "lineitem";
-  options.rewrite.synthesis.max_iterations = 1;
-  options.cache = &cache;
-  options.pool = &pool;
-  auto outcomes = RewriteBatch(parsed, catalog, options);
-  ASSERT_TRUE(outcomes.ok()) << outcomes.status().ToString();
-  ASSERT_EQ(outcomes->size(), 6u);
-
-  const RewriteCache::Stats st = cache.stats();
-  EXPECT_EQ(st.misses, 1u);
-  EXPECT_EQ(st.hits, 5u);
-  EXPECT_EQ(st.entries, 1u);
-
-  // All six outcomes agree, and the five served by the cache say so.
-  size_t from_cache = 0;
-  for (const RewriteOutcome& o : *outcomes) {
-    EXPECT_EQ(o.changed(), (*outcomes)[0].changed());
-    if (o.changed()) {
-      EXPECT_EQ(o.rewritten.where->ToString(),
-                (*outcomes)[0].rewritten.where->ToString());
-    }
-    if (o.from_cache) ++from_cache;
+TEST(BatchRewriterTest, MalformedQueryFailsTheBatch) {
+  // The middle query's FROM lacks the target table: its error is the
+  // batch's, whatever the thread count.
+  std::vector<ParsedQuery> parsed = Workload(2);
+  auto bad = ParseQuery("SELECT * FROM orders WHERE o_totalprice > 10");
+  ASSERT_TRUE(bad.ok()) << bad.status().ToString();
+  parsed.insert(parsed.begin() + 1, *bad);
+  for (const size_t threads : {1u, 4u}) {
+    auto outcomes = RunBatch(threads, parsed);
+    ASSERT_FALSE(outcomes.ok()) << "threads=" << threads;
+    EXPECT_EQ(outcomes.status().code(), StatusCode::kInvalidArgument)
+        << outcomes.status().ToString();
   }
-  EXPECT_EQ(from_cache, 5u);
 }
 
 }  // namespace

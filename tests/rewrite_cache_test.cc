@@ -6,6 +6,7 @@
 #include "engine/tpch_gen.h"
 #include "ir/binder.h"
 #include "ir/builder.h"
+#include "obs/metrics.h"
 #include "rewrite/rewrite_cache.h"
 
 namespace sia {
@@ -40,16 +41,17 @@ TEST_F(SelectivityTest, EmptyTable) {
 
 // --- RewriteCache ---------------------------------------------------------------
 
-// Publishes `entry` for (p, cols) through the synchronous protocol: the
-// miss claims the key's marker and the guard publishes it trusted.
+// Publishes `entry` for (p, cols) the one way an entry enters the cache:
+// a Decide miss claims the key's marker, CompleteSynthesis publishes.
 void Publish(RewriteCache& cache, const ExprPtr& p,
              const std::vector<size_t>& cols, RewriteCache::Entry entry) {
-  ASSERT_FALSE(cache.DecideOrWait(p, cols).has_value());
-  RewriteCache::MarkerGuard marker(&cache, p, cols);
-  ASSERT_TRUE(marker.Publish(std::move(entry)).ok());
+  ASSERT_TRUE(cache.Decide(p, cols, PromotionPolicy{}, false, 0).enqueue);
+  ASSERT_TRUE(cache.CompleteSynthesis(p, cols, std::move(entry)).ok());
 }
 
 TEST(RewriteCacheTest, MissThenHit) {
+  obs::MetricsRegistry::SetEnabled(true);
+  obs::MetricsRegistry::Instance().ResetAll();
   Schema s;
   s.AddColumn({"t", "a", DataType::kInteger, false});
   s.AddColumn({"t", "b", DataType::kInteger, false});
@@ -59,29 +61,30 @@ TEST(RewriteCacheTest, MissThenHit) {
   RewriteCache cache;
   EXPECT_FALSE(cache.Lookup(p, {0}).has_value());
 
-  int synth_calls = 0;
-  auto get = [&]() -> RewriteCache::Entry {
-    if (auto hit = cache.DecideOrWait(p, {0})) return *hit;
-    RewriteCache::MarkerGuard marker(&cache, p, {0});
-    ++synth_calls;
-    const SynthesisResult result = Synthesize(p, s, {0}).value();
-    RewriteCache::Entry entry;
-    entry.status = result.status;
-    entry.predicate = result.predicate;
-    EXPECT_TRUE(marker.Publish(entry).ok());
-    return entry;
-  };
-  const RewriteCache::Entry first = get();
-  EXPECT_EQ(synth_calls, 1);
-  const RewriteCache::Entry second = get();
-  EXPECT_EQ(synth_calls, 1);  // served from cache
-  EXPECT_TRUE(Expr::Equal(first.predicate, second.predicate));
-  EXPECT_EQ(second.state, EntryState::kPromoted);  // trusted publish
+  // The miss claims the marker; the caller synthesizes and publishes.
+  const PromotionPolicy policy;
+  ASSERT_TRUE(cache.Decide(p, {0}, policy, false, 0).enqueue);
+  const SynthesisResult result = Synthesize(p, s, {0}).value();
+  ASSERT_TRUE(result.has_predicate());
+  RewriteCache::Entry entry;
+  entry.status = result.status;
+  entry.predicate = result.predicate;
+  ASSERT_TRUE(cache.CompleteSynthesis(p, {0}, entry).ok());
 
-  const auto stats = cache.stats();
-  EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(stats.misses, 1u);  // Lookup inspects without counting
-  EXPECT_EQ(stats.entries, 1u);
+  // The hit finds the published entry and asks for no second synthesis.
+  const ServingDecision hit = cache.Decide(p, {0}, policy, true, 0);
+  EXPECT_FALSE(hit.enqueue);
+  EXPECT_EQ(hit.state, EntryState::kQuarantined);  // learned: untrusted
+  EXPECT_TRUE(hit.shadow);
+  EXPECT_TRUE(Expr::Equal(hit.predicate, result.predicate));
+
+  EXPECT_EQ(cache.stats().entries, 1u);
+  if (obs::MetricsRegistry::Enabled()) {  // compiled out under SIA_OBS_DISABLED
+    obs::MetricsRegistry& reg = obs::MetricsRegistry::Instance();
+    EXPECT_EQ(reg.GetCounter("rewrite.cache.miss").Value(), 1u);
+    EXPECT_EQ(reg.GetCounter("rewrite.cache.hit").Value(), 1u);
+  }
+  obs::MetricsRegistry::SetEnabled(false);
 }
 
 TEST(RewriteCacheTest, DistinctColumnSetsAreDistinctKeys) {
@@ -104,17 +107,6 @@ TEST(RewriteCacheTest, StructurallyEqualPredicatesShareEntries) {
   RewriteCache cache;
   Publish(cache, p1, {0}, {SynthesisStatus::kValid, p1});
   EXPECT_TRUE(cache.Lookup(p2, {0}).has_value());
-}
-
-TEST(RewriteCacheTest, ClearResets) {
-  Schema s;
-  s.AddColumn({"t", "a", DataType::kInteger, false});
-  ExprPtr p = Bind(Col("a") < Lit(0), s).value();
-  RewriteCache cache;
-  Publish(cache, p, {0}, {SynthesisStatus::kNone, nullptr});
-  cache.Clear();
-  EXPECT_FALSE(cache.Lookup(p, {0}).has_value());
-  EXPECT_EQ(cache.stats().entries, 0u);
 }
 
 }  // namespace

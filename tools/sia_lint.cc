@@ -16,8 +16,8 @@
 //                       queries that hit it report which stage burned the
 //                       budget and which degradation-ladder rung answered
 //     --threads N       rewrite --workload queries concurrently on N
-//                       worker threads through one shared rewrite
-//                       cache, then lint the outcomes in order. Only
+//                       worker threads (RewriteBatch), then lint the
+//                       outcomes in order. Only
 //                       affects --rewrite + --workload runs. Incompatible
 //                       with --deadline-ms: the deadline is an absolute
 //                       instant, so under a batch it would bound the
@@ -74,7 +74,6 @@
 #include "parser/parser.h"
 #include "rewrite/batch_rewriter.h"
 #include "rewrite/planner.h"
-#include "rewrite/rewrite_cache.h"
 #include "rewrite/rules.h"
 #include "rewrite/sia_rewriter.h"
 #include "server/protocol.h"
@@ -341,8 +340,6 @@ void PreregisterCoreMetrics() {
   reg.GetHistogram("smt.optimize.latency_us");
   reg.GetCounter("rewrite.queries");
   reg.GetCounter("rewrite.changed");
-  reg.GetCounter("rewrite.cache.hit");
-  reg.GetCounter("rewrite.cache.miss");
   reg.GetCounter("rewrite.batch.queries");
   for (const char* rung : {"full", "interval", "original"}) {
     reg.GetCounter(std::string("rewrite.rung.") + rung);
@@ -554,23 +551,21 @@ int main(int argc, char** argv) {
       return 2;
     }
     // Batch path: rewrite every workload query up front on a private
-    // pool through one shared rewrite cache, then lint the outcomes in
-    // workload order (output identical to the serial path).
-    // --digests-out also goes through here even at --threads 1 (the
-    // pool degenerates to inline execution) so digest lines always come
-    // from cache-mediated outcomes, whatever the thread count.
+    // pool, then lint the outcomes in workload order (output identical
+    // to the serial path). --digests-out also goes through here even at
+    // --threads 1 (the pool degenerates to inline execution) so digest
+    // lines always come from RewriteBatch outcomes, whatever the thread
+    // count.
     std::vector<sia::RewriteOutcome> precomputed;
     bool have_precomputed = false;
     if (options.rewrite &&
         (options.threads > 1 || !options.digests_out.empty())) {
       sia::ThreadPool pool(static_cast<size_t>(options.threads));
-      sia::RewriteCache cache;
       sia::BatchRewriteOptions batch;
       batch.rewrite.target_table = options.target_table;
       if (options.max_iterations > 0) {
         batch.rewrite.synthesis.max_iterations = options.max_iterations;
       }
-      batch.cache = &cache;
       batch.pool = &pool;
       std::vector<sia::ParsedQuery> parsed;
       parsed.reserve(queries->size());
