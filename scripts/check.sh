@@ -705,7 +705,7 @@ fi
 # mutex per thread-local trace ring), and the threading substrate
 # (ThreadPool, morsel-parallel execution, the batch rewriter) and the
 # serving path (admission, drain, the rewrite cache's Decide marker and
-# the background lane) are where any data race in the tree would live;
+# the learner thread) are where any data race in the tree would live;
 # run those test binaries under ThreadSanitizer in a dedicated build
 # dir. TSan is incompatible with ASan, hence the separate dir.
 TSAN_DIR="${BUILD_DIR}-tsan"

@@ -135,7 +135,7 @@ Status FaultRegistry::Arm(const std::string& point, const FaultSpec& spec) {
   }
   MutexLock lock(&mu_);
   const bool fresh = armed_.find(point) == armed_.end();
-  armed_[point] = Armed{spec, 0, 0, false};
+  armed_[point] = Armed{spec, Rng(Fnv1a64(point)), 0, 0, false};
   if (fresh) armed_points_.fetch_add(1, std::memory_order_relaxed);
   return Status::OK();
 }
@@ -193,7 +193,7 @@ Status FaultRegistry::Fire(std::string_view point) {
         fail = armed.hits == armed.spec.nth;
         break;
       case FaultMode::kProbabilistic:
-        fail = rng_.Bernoulli(armed.spec.probability);
+        fail = armed.rng.Bernoulli(armed.spec.probability);
         break;
       case FaultMode::kLatency:
         sleep_ms = armed.spec.latency_ms;

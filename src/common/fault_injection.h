@@ -98,6 +98,9 @@ class FaultRegistry {
 
   struct Armed {
     FaultSpec spec;
+    // kProbabilistic draws: one stream per point, seeded from its name
+    // when armed, so hits on other points never shift this point's draws.
+    Rng rng;
     uint64_t hits = 0;
     uint64_t failures = 0;
     bool spent = false;  // kOnce fired already
@@ -108,8 +111,6 @@ class FaultRegistry {
   // mu_ and latency faults never serialize other threads' checks.
   mutable Mutex mu_;
   std::map<std::string, Armed, std::less<>> armed_ SIA_GUARDED_BY(mu_);
-  // kProbabilistic; fixed seed for reproducible sweeps
-  Rng rng_ SIA_GUARDED_BY(mu_){0xFA017u};
 
   static std::atomic<int> armed_points_;
 };

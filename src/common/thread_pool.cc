@@ -98,24 +98,12 @@ void ThreadPool::WorkerLoop() {
     std::function<void()> task;
     {
       MutexLock lock(&mu_);
-      while (!shutdown_ && queue_.empty() && background_.empty()) {
-        cv_.Wait(&mu_);
-      }
-      // Strict priority: the normal queue always preempts the background
-      // lane. At shutdown the normal queue is drained but still-queued
-      // background tasks are dropped — they are droppable by contract.
-      if (!queue_.empty()) {
-        task = std::move(queue_.front());
-        queue_.pop_front();
-        if (obs::MetricsRegistry::Enabled()) {
-          obs::SetGauge("pool.queue_depth",
-                        static_cast<double>(queue_.size()));
-        }
-      } else if (!shutdown_ && !background_.empty()) {
-        task = std::move(background_.front());
-        background_.pop_front();
-      } else {
-        return;  // shutdown with a drained normal queue
+      while (!shutdown_ && queue_.empty()) cv_.Wait(&mu_);
+      if (queue_.empty()) return;  // shutdown with a drained queue
+      task = std::move(queue_.front());
+      queue_.pop_front();
+      if (obs::MetricsRegistry::Enabled()) {
+        obs::SetGauge("pool.queue_depth", static_cast<double>(queue_.size()));
       }
     }
     task();
@@ -123,10 +111,6 @@ void ThreadPool::WorkerLoop() {
 }
 
 void ThreadPool::Submit(std::function<void()> task) {
-  if (workers_.empty()) {
-    task();
-    return;
-  }
   {
     MutexLock lock(&mu_);
     queue_.push_back(std::move(task));
@@ -136,18 +120,6 @@ void ThreadPool::Submit(std::function<void()> task) {
     }
   }
   cv_.NotifyOne();
-}
-
-bool ThreadPool::SubmitBackground(std::function<void()> task) {
-  if (workers_.empty()) return false;
-  {
-    MutexLock lock(&mu_);
-    if (shutdown_) return false;
-    background_.push_back(std::move(task));
-    SIA_COUNTER_INC("pool.background.tasks");
-  }
-  cv_.NotifyOne();
-  return true;
 }
 
 Status ThreadPool::ParallelFor(

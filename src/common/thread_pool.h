@@ -16,7 +16,9 @@ namespace sia {
 // rewriter in src/rewrite both draw from the same process-wide pool
 // (Shared()), so going parallel in several components at once cannot
 // oversubscribe the machine. Tests construct private pools to pin exact
-// worker counts.
+// worker counts. ParallelFor is the only way to run work on a pool;
+// long-lived loops (sia_serve's workers, the background learner) own
+// plain Threads (common/sync.h) instead.
 //
 // `threads` counts the calling thread: a pool of size N owns N-1
 // background workers, and ParallelFor always participates on the caller.
@@ -67,27 +69,10 @@ class ThreadPool {
       size_t total, size_t grain,
       const std::function<Status(size_t, size_t)>& body) SIA_EXCLUDES(mu_);
 
-  // Enqueues `task` for a background worker (FIFO). ParallelFor is built
-  // on this; exposed for tests and one-off asynchronous work. With no
-  // background workers the task runs inline, on the caller.
-  void Submit(std::function<void()> task) SIA_EXCLUDES(mu_);
-
-  // Enqueues `task` on the low-priority background lane. Workers take
-  // from this lane only when the normal queue is empty, so latency-
-  // sensitive work (ParallelFor chunks, serving tasks) always preempts
-  // it; background tasks still queued at shutdown are dropped, not run.
-  // Returns false — and does NOT enqueue — when the pool has no
-  // background workers: running inline would put background work on the
-  // caller, which for the online learning loop is exactly the serving
-  // path this lane exists to protect. Callers own the fallback (e.g. a
-  // dedicated thread).
-  bool SubmitBackground(std::function<void()> task) SIA_EXCLUDES(mu_);
-
-  // True when the pool owns at least one background worker thread —
-  // i.e. SubmitBackground can make progress.
-  bool has_workers() const { return !workers_.empty(); }
-
  private:
+  // Enqueues `task` for a background worker (FIFO). Only ParallelFor
+  // calls it, and only when the pool has workers.
+  void Submit(std::function<void()> task) SIA_EXCLUDES(mu_);
   void WorkerLoop() SIA_EXCLUDES(mu_);
 
   // Lock hierarchy: mu_ is a leaf among sia locks (nothing in the tree
@@ -96,12 +81,9 @@ class ThreadPool {
   Mutex mu_;
   CondVar cv_;
   std::deque<std::function<void()>> queue_ SIA_GUARDED_BY(mu_);
-  // The low-priority lane (SubmitBackground). Drained only when queue_
-  // is empty; abandoned at shutdown.
-  std::deque<std::function<void()>> background_ SIA_GUARDED_BY(mu_);
   bool shutdown_ SIA_GUARDED_BY(mu_) = false;
   // Written only by the constructor, before any worker exists; read-only
-  // afterwards, so unguarded reads (thread_count, Submit) are safe.
+  // afterwards, so unguarded reads (thread_count, ParallelFor) are safe.
   std::vector<Thread> workers_;
 };
 

@@ -133,7 +133,7 @@ class Tracer {
 // A trace ID is minted once per admitted request (MintTraceId, never 0)
 // and installed on whichever thread is currently doing that request's
 // work via a TraceContext — the worker serving the connection, then the
-// background lane running its synthesis job, then the thread recording
+// learner thread running its synthesis job, then the thread recording
 // its promotion evidence. Every TraceSpan opened while a context is
 // installed stamps the ID into its event, so the whole journey is one
 // linked trace. Installation is two thread-local stores, no atomics —

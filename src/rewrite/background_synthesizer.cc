@@ -12,24 +12,17 @@
 namespace sia {
 
 BackgroundSynthesizer::BackgroundSynthesizer(RewriteCache* cache,
-                                             ThreadPool* pool, Options options)
+                                             Options options)
     : cache_(cache),
-      pool_(pool),
       options_(std::move(options)),
-      use_pool_(pool != nullptr && pool->has_workers()) {
-  if (!use_pool_) {
-    thread_ = std::make_unique<Thread>([this] { ThreadLoop(); });
-  }
-}
+      thread_([this] { ThreadLoop(); }) {}
 
 BackgroundSynthesizer::~BackgroundSynthesizer() { DrainAndStop(); }
 
 bool BackgroundSynthesizer::Enqueue(BackgroundJob job) {
-  bool schedule = false;
   {
     MutexLock lock(&mu_);
     if (draining_ || queue_.size() >= options_.queue_depth) {
-      ++stats_.dropped;
       lock.Unlock();
       // Shedding a job must release its kSynthesizing marker, or the key
       // would wedge until process exit.
@@ -39,67 +32,14 @@ bool BackgroundSynthesizer::Enqueue(BackgroundJob job) {
       return false;
     }
     queue_.push_back(std::move(job));
-    ++stats_.enqueued;
     if (obs::MetricsRegistry::Enabled()) {
       obs::SetGauge("rewrite.background.queue_depth",
                     static_cast<double>(queue_.size()));
     }
-    if (use_pool_ && !drainer_scheduled_) {
-      drainer_scheduled_ = true;
-      schedule = true;
-    }
   }
   SIA_COUNTER_INC("rewrite.background.enqueued");
-  if (!use_pool_) {
-    cv_.NotifyOne();
-    return true;
-  }
-  if (schedule && !pool_->SubmitBackground([this] { DrainQueue(); })) {
-    // The pool is shutting down: nothing will ever drain, so abort every
-    // queued job now.
-    std::deque<BackgroundJob> orphans;
-    {
-      MutexLock lock(&mu_);
-      drainer_scheduled_ = false;
-      orphans.swap(queue_);
-      stats_.dropped += orphans.size();
-      if (obs::MetricsRegistry::Enabled()) {
-        obs::SetGauge("rewrite.background.queue_depth", 0.0);
-      }
-    }
-    for (const BackgroundJob& orphan : orphans) {
-      SIA_COUNTER_INC("rewrite.background.dropped");
-      cache_->AbortSynthesis(orphan.bound, orphan.cols);
-    }
-    return false;
-  }
+  cv_.NotifyOne();
   return true;
-}
-
-void BackgroundSynthesizer::DrainQueue() {
-  for (;;) {
-    BackgroundJob job;
-    {
-      MutexLock lock(&mu_);
-      if (draining_ || queue_.empty()) {
-        drainer_scheduled_ = false;
-        return;
-      }
-      job = std::move(queue_.front());
-      queue_.pop_front();
-      if (obs::MetricsRegistry::Enabled()) {
-        obs::SetGauge("rewrite.background.queue_depth",
-                      static_cast<double>(queue_.size()));
-      }
-      job_running_ = true;
-    }
-    RunJob(job);
-    {
-      MutexLock lock(&mu_);
-      job_running_ = false;
-      cv_.NotifyAll();
-    }
-  }
 }
 
 void BackgroundSynthesizer::ThreadLoop() {
@@ -107,22 +47,16 @@ void BackgroundSynthesizer::ThreadLoop() {
     BackgroundJob job;
     {
       MutexLock lock(&mu_);
-      while (!stop_thread_ && queue_.empty()) cv_.Wait(&mu_);
-      if (queue_.empty()) return;  // stopped; DrainAndStop owns the orphans
+      while (!draining_ && queue_.empty()) cv_.Wait(&mu_);
+      if (draining_) return;  // DrainAndStop owns whatever was queued
       job = std::move(queue_.front());
       queue_.pop_front();
       if (obs::MetricsRegistry::Enabled()) {
         obs::SetGauge("rewrite.background.queue_depth",
                       static_cast<double>(queue_.size()));
       }
-      job_running_ = true;
     }
     RunJob(job);
-    {
-      MutexLock lock(&mu_);
-      job_running_ = false;
-      cv_.NotifyAll();
-    }
   }
 }
 
@@ -131,27 +65,23 @@ void BackgroundSynthesizer::DrainAndStop() {
   {
     MutexLock lock(&mu_);
     draining_ = true;
-    stop_thread_ = true;
     orphans.swap(queue_);
-    stats_.dropped += orphans.size();
     if (obs::MetricsRegistry::Enabled() && !orphans.empty()) {
       obs::SetGauge("rewrite.background.queue_depth", 0.0);
     }
-    cv_.NotifyAll();
-    // Wait only for a job that is actually executing; a drainer task the
-    // pool never ran (or will drop at shutdown) sees draining_ and
-    // retires without touching anything.
-    while (job_running_) cv_.Wait(&mu_);
   }
+  cv_.NotifyAll();
   for (const BackgroundJob& orphan : orphans) {
     SIA_COUNTER_INC("rewrite.background.dropped");
     cache_->AbortSynthesis(orphan.bound, orphan.cols);
   }
-  thread_.reset();  // joins the fallback drainer, if any
+  // The in-flight job, if any, publishes or aborts its own marker before
+  // the thread sees draining_ and exits.
+  if (thread_.Joinable()) thread_.Join();
 }
 
 void BackgroundSynthesizer::RunJob(const BackgroundJob& job) {
-  // Continue the admitting request's trace on the background lane.
+  // Continue the admitting request's trace on the learner thread.
   obs::TraceContext trace_ctx(job.trace_id);
   obs::TraceSpan span("rewrite.background.synthesize");
   Stopwatch timer;
@@ -177,8 +107,6 @@ void BackgroundSynthesizer::RunJob(const BackgroundJob& job) {
     // the next miss simply tries again.
     cache_->AbortSynthesis(job.bound, job.cols);
     SIA_COUNTER_INC("rewrite.background.failed");
-    MutexLock lock(&mu_);
-    ++stats_.failed;
     return;
   }
 
@@ -214,16 +142,10 @@ void BackgroundSynthesizer::RunJob(const BackgroundJob& job) {
     // The marker vanished (aborted by a drop/drain race, or the cache
     // was cleared). Nothing to publish against; the work is discarded.
     SIA_COUNTER_INC("rewrite.background.failed");
-    MutexLock lock(&mu_);
-    ++stats_.failed;
     return;
   }
   SIA_COUNTER_INC("rewrite.background.completed");
   SIA_HISTOGRAM_RECORD("rewrite.background.synth_ms", timer.ElapsedMillis());
-  {
-    MutexLock lock(&mu_);
-    ++stats_.completed;
-  }
   if (predicate == nullptr) return;  // "nothing to learn" self-promotes
 
   if (force_promote) {
@@ -241,11 +163,6 @@ void BackgroundSynthesizer::RunJob(const BackgroundJob& job) {
     obs::TraceSpan shadow_span("rewrite.background.shadow");
     options_.evidence(job, predicate);
   }
-}
-
-BackgroundSynthesizer::Stats BackgroundSynthesizer::stats() const {
-  MutexLock lock(&mu_);
-  return stats_;
 }
 
 }  // namespace sia

@@ -4,11 +4,9 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "common/sync.h"
-#include "common/thread_pool.h"
 #include "parser/ast.h"
 #include "rewrite/rewrite_cache.h"
 #include "rewrite/sia_rewriter.h"
@@ -31,12 +29,10 @@ struct BackgroundJob {
   uint64_t trace_id = 0;
 };
 
-// Runs the synthesis ladder off the serving path, on the shared thread
-// pool's low-priority background lane (common/thread_pool.h): a bounded,
-// droppable job queue drained one job at a time by a task that only runs
-// when no serving work is queued. With a worker-less pool (SIA_THREADS=1)
-// a dedicated thread drains instead — running background work inline on
-// the serving path is exactly what this class exists to prevent.
+// Runs the synthesis ladder off the serving path: a bounded, droppable
+// job queue drained one job at a time by the learner thread this class
+// owns. Serving threads only enqueue, so no request ever waits on
+// synthesis.
 //
 // Every job this class accepts owns its key's kSynthesizing marker in
 // the RewriteCache. The invariant enforced here is that the marker is
@@ -52,7 +48,7 @@ class BackgroundSynthesizer {
  public:
   // Gathers promotion evidence for a freshly quarantined entry:
   // `predicate` is the learned predicate just published for `job`'s key.
-  // Runs on the background lane; implementations shadow-execute and call
+  // Runs on the learner thread; implementations shadow-execute and call
   // RewriteCache::RecordShadow.
   using EvidenceFn =
       std::function<void(const BackgroundJob& job, const ExprPtr& predicate)>;
@@ -77,10 +73,9 @@ class BackgroundSynthesizer {
     EvidenceFn evidence;  // optional; null skips evidence gathering
   };
 
-  // `cache` is borrowed and must outlive this object. `pool` may be
-  // null or worker-less; a dedicated drainer thread is used then.
-  BackgroundSynthesizer(RewriteCache* cache, ThreadPool* pool,
-                        Options options);
+  // `cache` is borrowed and must outlive this object. Starts the
+  // learner thread.
+  BackgroundSynthesizer(RewriteCache* cache, Options options);
 
   // Drains on destruction (idempotent with an earlier DrainAndStop).
   ~BackgroundSynthesizer();
@@ -88,54 +83,34 @@ class BackgroundSynthesizer {
   BackgroundSynthesizer(const BackgroundSynthesizer&) = delete;
   BackgroundSynthesizer& operator=(const BackgroundSynthesizer&) = delete;
 
-  // Hands a job to the background lane. Returns false — after releasing
+  // Hands a job to the learner thread. Returns false — after releasing
   // the job's kSynthesizing marker so the key stays re-queueable — when
-  // the queue is full, draining has begun, or the pool is shutting
-  // down. Never blocks on synthesis.
+  // the queue is full or draining has begun. Never blocks on synthesis.
   bool Enqueue(BackgroundJob job) SIA_EXCLUDES(mu_);
 
   // Stops accepting jobs, aborts everything still queued (their keys
-  // become re-queueable) and waits for the in-flight job, if any, to
-  // finish. Idempotent; called by QueryService teardown and by the
-  // server's drain path before the pool is torn down.
+  // become re-queueable) and joins the learner thread, which finishes
+  // the in-flight job, if any, first. Idempotent; called by QueryService
+  // teardown and by the server's drain path. The rewrite.background.*
+  // counters account for every job.
   void DrainAndStop() SIA_EXCLUDES(mu_);
 
-  struct Stats {
-    size_t enqueued = 0;
-    size_t dropped = 0;
-    size_t completed = 0;
-    size_t failed = 0;  // crash-injected, ladder error, or stale marker
-  };
-  Stats stats() const SIA_EXCLUDES(mu_);
-
  private:
-  // Runs queued jobs until the queue is empty, then retires. Scheduled
-  // on the pool's background lane (one at a time).
-  void DrainQueue() SIA_EXCLUDES(mu_);
-  // Dedicated-thread fallback body (worker-less pool).
+  // The learner thread's body: runs queued jobs one at a time until
+  // draining begins.
   void ThreadLoop() SIA_EXCLUDES(mu_);
   // Synthesizes one job and publishes or aborts its marker.
-  void RunJob(const BackgroundJob& job) SIA_EXCLUDES(mu_);
+  void RunJob(const BackgroundJob& job);
 
   RewriteCache* const cache_;
-  ThreadPool* const pool_;  // null => thread_ drains
   const Options options_;
-  const bool use_pool_;
 
-  mutable Mutex mu_;
+  Mutex mu_;
   CondVar cv_;
   std::deque<BackgroundJob> queue_ SIA_GUARDED_BY(mu_);
   bool draining_ SIA_GUARDED_BY(mu_) = false;
-  // A DrainQueue task has been handed to the pool and has not retired.
-  bool drainer_scheduled_ SIA_GUARDED_BY(mu_) = false;
-  // A job is executing right now (DrainAndStop waits on this; a merely
-  // scheduled drainer may be dropped by pool shutdown and is not waited
-  // for).
-  bool job_running_ SIA_GUARDED_BY(mu_) = false;
-  bool stop_thread_ SIA_GUARDED_BY(mu_) = false;
-  Stats stats_ SIA_GUARDED_BY(mu_);
-  // Fallback drainer; joined by ~Thread after DrainAndStop.
-  std::unique_ptr<Thread> thread_;
+  // Declared last: it runs ThreadLoop over everything above.
+  Thread thread_;
 };
 
 }  // namespace sia

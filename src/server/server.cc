@@ -78,24 +78,13 @@ Result<std::unique_ptr<SiaServer>> SiaServer::Start(
                        net::Listener::Bind(opts.host, opts.port));
   obs::SetGauge("server.queue.depth", 0);
   obs::SetGauge("server.inflight", 0);
-  // A pool of size N owns N-1 pool threads; each serving worker loop
-  // occupies one for the server's lifetime, and the caller's slot is
-  // never used (the acceptor is a dedicated thread). The extra +1 pool
-  // thread is the background lane's slack: the serving loops pin their
-  // own threads, so without it low-priority tasks would wait for drain.
-  // Lane priority still holds — that thread takes any queued serving
-  // task first — and serving workers are never borrowed for synthesis.
-  server->pool_ = std::make_unique<ThreadPool>(opts.workers + 2);
-  // Background learning rides the same pool's low-priority lane: a
-  // bounded, droppable job queue that can never starve admitted
-  // requests.
-  server->service_.StartBackground(server->pool_.get());
   {
     MutexLock lock(&server->drain_mu_);
     server->live_workers_ = opts.workers;
   }
+  server->workers_.reserve(opts.workers);
   for (size_t i = 0; i < opts.workers; ++i) {
-    server->pool_->Submit([raw = server.get()] { raw->WorkerLoop(); });
+    server->workers_.emplace_back([raw = server.get()] { raw->WorkerLoop(); });
   }
   server->acceptor_ = Thread([raw = server.get()] { raw->AcceptLoop(); });
   return server;
@@ -306,12 +295,11 @@ Status SiaServer::DrainAndStop() {
     // carries its own timeout, so this terminates).
     while (live_workers_ != 0) drain_cv_.Wait(&drain_mu_);
   }
-  // Background learning drains after the workers (no new jobs can arrive
-  // once every worker exited) and strictly before the pool dies: queued
-  // jobs are aborted back to re-queueable, the in-flight one — which is
-  // occupying a live pool worker — is waited out.
+  for (Thread& worker : workers_) worker.Join();
+  // Background learning drains after the workers, so no new job can
+  // arrive: queued jobs are aborted back to re-queueable, the in-flight
+  // one is waited out.
   service_.DrainBackground();
-  pool_.reset();
   drain_result_ = result;
   return result;
 }

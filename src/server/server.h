@@ -9,8 +9,8 @@
 // The acceptor owns all accept(2) work and the load-shed decision: a
 // connection that cannot be admitted is answered with a SHED frame
 // (Retry-After hint) and closed, so overload degrades to fast, explicit
-// refusals instead of unbounded queueing. Workers (long-running tasks on
-// a private common/thread_pool) read the request frame, run it through
+// refusals instead of unbounded queueing. Workers (one Thread each, for
+// the server's lifetime) read the request frame, run it through
 // QueryService — cache decision, background-learning enqueue, optional
 // execution — and write the response. Per-request spans are
 // server.accept / server.queue / server.rewrite / server.execute /
@@ -25,11 +25,11 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "common/net.h"
 #include "common/status.h"
 #include "common/sync.h"
-#include "common/thread_pool.h"
 #include "server/admission_queue.h"
 #include "server/service.h"
 
@@ -86,7 +86,7 @@ class SiaServer {
   uint16_t port() const { return listener_.port(); }
 
   // The serving brains; valid for the server's lifetime. Exposed so
-  // tests and tools can read cache/background state after a drain.
+  // tests and tools can read cache state after a drain.
   QueryService& service() { return service_; }
 
   // Stop accepting, refuse new admissions, finish all admitted requests.
@@ -108,10 +108,6 @@ class SiaServer {
   QueryService service_;
   net::Listener listener_;
   AdmissionQueue queue_;
-  // workers + 2 (caller-counting pool): one pool thread per serving
-  // loop plus one left free for the low-priority background lane.
-  std::unique_ptr<ThreadPool> pool_;
-  Thread acceptor_;
 
   std::atomic<bool> stopping_{false};
 
@@ -132,6 +128,11 @@ class SiaServer {
   std::atomic<uint64_t> shed_{0};
   std::atomic<uint64_t> completed_{0};
   std::atomic<uint64_t> protocol_errors_{0};
+
+  // Declared last: the threads use everything above, and DrainAndStop
+  // joins them before any member is destroyed.
+  std::vector<Thread> workers_;  // one WorkerLoop each
+  Thread acceptor_;
 };
 
 }  // namespace sia::server

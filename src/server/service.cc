@@ -28,6 +28,15 @@ int64_t SteadyMillis() {
       .count();
 }
 
+PromotionPolicy PolicyFrom(const ServiceOptions& options) {
+  PromotionPolicy policy;
+  policy.promote_after = std::max(1, options.promote_after);
+  policy.demote_after = std::max(1, options.demote_after);
+  policy.shadow_sample_rate = options.shadow_sample_rate;
+  policy.demote_ttl_ms = options.demote_ttl_ms;
+  return policy;
+}
+
 }  // namespace
 
 QueryReply ReplyFromOutcome(const RewriteOutcome& outcome) {
@@ -50,11 +59,10 @@ Status ExecuteInto(const ParsedQuery& query, const Catalog& catalog,
 }
 
 QueryService::QueryService(const ServiceOptions& options)
-    : options_(options), catalog_(Catalog::TpchCatalog()) {
-  policy_.promote_after = std::max(1, options_.promote_after);
-  policy_.demote_after = std::max(1, options_.demote_after);
-  policy_.shadow_sample_rate = options_.shadow_sample_rate;
-  policy_.demote_ttl_ms = options_.demote_ttl_ms;
+    : options_(options),
+      policy_(PolicyFrom(options)),
+      catalog_(Catalog::TpchCatalog()),
+      synthesizer_(&cache_, LearnerOptions()) {
   if (options_.scale_factor > 0) {
     data_.emplace(GenerateTpch(options_.scale_factor, options_.data_seed));
     executor_.RegisterTable("orders", &data_->orders);
@@ -62,10 +70,7 @@ QueryService::QueryService(const ServiceOptions& options)
   }
 }
 
-QueryService::~QueryService() { DrainBackground(); }
-
-void QueryService::StartBackground(ThreadPool* pool) {
-  if (synthesizer_ != nullptr) return;
+BackgroundSynthesizer::Options QueryService::LearnerOptions() {
   BackgroundSynthesizer::Options opts;
   opts.rewrite.target_table = options_.target_table;
   if (options_.max_iterations > 0) {
@@ -74,10 +79,10 @@ void QueryService::StartBackground(ThreadPool* pool) {
   opts.budget_ms = std::max<int64_t>(1, options_.background_budget_ms);
   opts.queue_depth = std::max<size_t>(1, options_.background_queue_depth);
   opts.policy = policy_;
-  if (data_.has_value()) {
+  if (options_.scale_factor > 0) {
     // Evidence loop: paranoid-run the fresh candidate up to promote_after
     // times so an unambiguous winner is promoted without waiting for
-    // serving-path samples. Runs on the background lane, after the
+    // serving-path samples. Runs on the learner thread, after the
     // publish, against the same executor the workers use (it is
     // internally synchronized).
     opts.evidence = [this](const BackgroundJob& job, const ExprPtr& learned) {
@@ -87,23 +92,25 @@ void QueryService::StartBackground(ThreadPool* pool) {
         auto report = RunRewriteParanoid(job.query, rewritten, catalog_,
                                          executor_);
         if (!report.ok()) return;
-        ShadowOutcome evidence;
-        evidence.mismatch = report->mismatch;
-        evidence.rewrite_failed = report->rewritten_failed;
-        evidence.original_ms = report->original_ms;
-        evidence.rewritten_ms = report->rewritten_ms;
-        auto state = cache_.RecordShadow(job.bound, job.cols, evidence,
-                                         policy_, SteadyMillis());
+        auto state = RecordEvidence(job.bound, job.cols, *report);
         if (!state.ok() || *state != EntryState::kQuarantined) return;
       }
     };
   }
-  synthesizer_ =
-      std::make_unique<BackgroundSynthesizer>(&cache_, pool, std::move(opts));
+  return opts;
 }
 
-void QueryService::DrainBackground() {
-  if (synthesizer_ != nullptr) synthesizer_->DrainAndStop();
+void QueryService::DrainBackground() { synthesizer_.DrainAndStop(); }
+
+Result<EntryState> QueryService::RecordEvidence(
+    const ExprPtr& bound, const std::vector<size_t>& cols,
+    const ParanoidReport& report) {
+  ShadowOutcome evidence;
+  evidence.mismatch = report.mismatch;
+  evidence.rewrite_failed = report.rewritten_failed;
+  evidence.original_ms = report.original_ms;
+  evidence.rewritten_ms = report.rewritten_ms;
+  return cache_.RecordShadow(bound, cols, evidence, policy_, SteadyMillis());
 }
 
 bool QueryService::SampleShadow() {
@@ -198,15 +205,13 @@ std::string QueryService::HandleQuery(const std::string& sql,
     auto made = MakeRewriteKey(*parsed, catalog_, key_options);
     if (!made.ok()) return FormatError(made.status());
     key = std::move(*made);
-    // Without a background lane nothing could learn a miss, so the
-    // original is served and the cache is left alone.
-    if (key.synthesizable && synthesizer_ != nullptr) {
+    if (key.synthesizable) {
       decision = cache_.Decide(key.bound, key.cols, policy_, SampleShadow(),
                                SteadyMillis());
     }
     if (decision.enqueue) {
       // This request owns the fresh kSynthesizing marker; hand the key
-      // to the background lane and keep serving the original. A full or
+      // to the learner thread and keep serving the original. A full or
       // draining queue sheds the job (and releases the marker) inside
       // Enqueue — serving never waits either way.
       BackgroundJob job;
@@ -215,7 +220,7 @@ std::string QueryService::HandleQuery(const std::string& sql,
       job.joint = key.joint;
       job.query = *parsed;
       job.trace_id = obs::CurrentTraceId();
-      (void)synthesizer_->Enqueue(std::move(job));
+      (void)synthesizer_.Enqueue(std::move(job));
     }
     if (decision.serve_rewrite) {
       outcome.learned = decision.predicate;
@@ -274,14 +279,9 @@ Status QueryService::ShadowExecute(const ParsedQuery& original,
   SIA_ASSIGN_OR_RETURN(
       ParanoidReport report,
       RunRewriteParanoid(original, rewritten, catalog_, executor_));
-  ShadowOutcome evidence;
-  evidence.mismatch = report.mismatch;
-  evidence.rewrite_failed = report.rewritten_failed;
-  evidence.original_ms = report.original_ms;
-  evidence.rewritten_ms = report.rewritten_ms;
   // The entry may have been cleared or re-keyed while we executed; the
   // evidence is simply lost then.
-  (void)cache_.RecordShadow(bound, cols, evidence, policy_, SteadyMillis());
+  (void)RecordEvidence(bound, cols, report);
 
   // report.output already falls back to the original's result on a
   // mismatch or a rewritten-side failure; quarantined entries serve the

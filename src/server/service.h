@@ -15,14 +15,13 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
 
 #include "catalog/catalog.h"
-#include "common/thread_pool.h"
 #include "engine/executor.h"
+#include "engine/runner.h"
 #include "engine/tpch_gen.h"
 #include "obs/window.h"
 #include "rewrite/background_synthesizer.h"
@@ -66,22 +65,17 @@ QueryReply ReplyFromOutcome(const RewriteOutcome& outcome);
 
 class QueryService {
  public:
+  // Loads the data (when scale_factor > 0) and starts the background
+  // learning loop's learner thread.
   explicit QueryService(const ServiceOptions& options);
-  ~QueryService();
 
   QueryService(const QueryService&) = delete;
   QueryService& operator=(const QueryService&) = delete;
 
-  // Turns the background learning loop on: misses enqueue onto `pool`'s
-  // background lane. `pool` may be null — a dedicated drainer thread is
-  // used then. Call before the first concurrent Handle(); the server
-  // calls it at startup. Until then every query is answered with the
-  // original, as a miss is.
-  void StartBackground(ThreadPool* pool);
-
-  // Stops the background lane: queued jobs are aborted (their keys
+  // Stops background learning: queued jobs are aborted (their keys
   // become re-queueable), the in-flight one finishes. Idempotent; the
-  // server's drain path calls it before tearing down the pool.
+  // server's drain path calls it once its workers have exited, and
+  // destruction does it too.
   void DrainBackground();
 
   // Serves one request; never throws and always returns a well-formed
@@ -92,8 +86,6 @@ class QueryService {
   bool executes() const { return data_.has_value(); }
   const Catalog& catalog() const { return catalog_; }
   RewriteCache& cache() { return cache_; }
-  // Null until StartBackground; stable afterwards.
-  BackgroundSynthesizer* background() { return synthesizer_.get(); }
 
  private:
   // The OBSERVE verb: windowed metrics + recent events + per-entry cache
@@ -112,9 +104,16 @@ class QueryService {
                                      bool serve_rewrite, const ExprPtr& bound,
                                      const std::vector<size_t>& cols,
                                      QueryReply* reply);
+  // Folds one paranoid run into the promotion state of the entry for
+  // (bound, cols); the one place shadow evidence enters the cache.
+  [[nodiscard]] Result<EntryState> RecordEvidence(
+      const ExprPtr& bound, const std::vector<size_t>& cols,
+      const ParanoidReport& report);
   // Deterministic Bernoulli(shadow_sample_rate) over the request ticket
   // sequence — no RNG state on the hot path.
   bool SampleShadow();
+  // The learner's configuration, evidence loop included.
+  BackgroundSynthesizer::Options LearnerOptions();
 
   ServiceOptions options_;
   PromotionPolicy policy_;
@@ -122,13 +121,13 @@ class QueryService {
   RewriteCache cache_;
   std::optional<TpchData> data_;
   Executor executor_;  // used only when data_ is populated
-  // Set once by StartBackground before concurrent serving, then only
-  // read — no lock needed on the request path.
-  std::unique_ptr<BackgroundSynthesizer> synthesizer_;
   std::atomic<uint64_t> shadow_ticket_{0};
   // Rolling 1s/10s/60s windows over the registry, sampled by the STATS
   // and OBSERVE readers (never by the serving path).
   obs::WindowedStats windows_;
+  // Declared last, so it is destroyed (drained, its thread joined)
+  // before the cache, data and executor its jobs use.
+  BackgroundSynthesizer synthesizer_;
 };
 
 }  // namespace sia::server

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -94,6 +95,30 @@ TEST_F(FaultInjectionTest, ProbabilisticExtremes) {
   certain.probability = 1.0;
   ASSERT_TRUE(reg().Arm("smt.check", certain).ok());
   for (int i = 0; i < 20; ++i) EXPECT_FALSE(GuardedOperation().ok());
+}
+
+// A prob: point draws from its own stream: hits on another armed point
+// in between do not change which of its own hits fail.
+TEST_F(FaultInjectionTest, ProbabilisticDrawsArePerPoint) {
+  FaultSpec half;
+  half.mode = FaultMode::kProbabilistic;
+  half.probability = 0.5;
+  const auto fails_of_a = [&](bool interleave_b) {
+    reg().DisarmAll();
+    EXPECT_TRUE(reg().Arm("smt.check", half).ok());
+    EXPECT_TRUE(reg().Arm("engine.scan", half).ok());
+    std::vector<bool> fails;
+    for (int i = 0; i < 64; ++i) {
+      fails.push_back(!GuardedOperation().ok());
+      if (interleave_b) (void)GuardedResultOperation();
+    }
+    return fails;
+  };
+  const std::vector<bool> alone = fails_of_a(false);
+  EXPECT_EQ(fails_of_a(true), alone);
+  const auto failures = std::count(alone.begin(), alone.end(), true);
+  EXPECT_GT(failures, 0);
+  EXPECT_LT(failures, 64);
 }
 
 TEST_F(FaultInjectionTest, LatencySleepsButSucceeds) {

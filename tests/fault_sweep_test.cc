@@ -206,7 +206,7 @@ TEST_F(FaultSweepTest, ParanoidModeDiscardsAWrongRewrite) {
 }
 
 TEST_F(FaultSweepTest, BackgroundLearningNeverWedgesUnderFaults) {
-  // The background lane's robustness contract, per fault: every request
+  // Background learning's robustness contract, per fault: every request
   // is still answered OK with the same digests on every serve (clients
   // never see a learning-loop failure), and after a drain no key is left
   // wedged in kSynthesizing — a crashed job releases its marker and the
@@ -229,7 +229,6 @@ TEST_F(FaultSweepTest, BackgroundLearningNeverWedgesUnderFaults) {
     ASSERT_TRUE(FaultRegistry::Instance().ArmFromSpec(spec).ok());
 
     server::QueryService service(options);
-    service.StartBackground(nullptr);
     std::vector<server::QueryReply> first(queries->size());
     for (int pass = 0; pass < 3; ++pass) {
       for (size_t i = 0; i < queries->size(); ++i) {
@@ -304,7 +303,6 @@ TEST_F(FaultSweepTest, BackgroundLearningEnvArmedSweep) {
   // Service construction (data generation) runs fault-free; the serving
   // loop, background jobs, and the drain all run under the spec.
   server::QueryService service(options);
-  service.StartBackground(nullptr);
   ASSERT_TRUE(FaultRegistry::Instance().ArmFromSpec(env).ok())
       << "bad SIA_FAULTS: " << env;
 

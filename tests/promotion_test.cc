@@ -1,5 +1,5 @@
 // The online-learning state machine (rewrite/rewrite_cache.h) and the
-// background synthesis lane (rewrite/background_synthesizer.h): every
+// background learner (rewrite/background_synthesizer.h): every
 // legal transition of kSynthesizing → kQuarantined → kPromoted /
 // kDemoted is exercised, every illegal one is rejected, and the
 // "marker always released" invariant holds across drops, crashes, and
@@ -7,16 +7,15 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "common/fault_injection.h"
 #include "common/status.h"
-#include "common/sync.h"
-#include "common/thread_pool.h"
 #include "ir/binder.h"
 #include "ir/builder.h"
+#include "obs/metrics.h"
 #include "rewrite/background_synthesizer.h"
 #include "rewrite/rewrite_cache.h"
 #include "rewrite/sia_rewriter.h"
@@ -315,82 +314,103 @@ TEST(PromotionStateMachineTest, PromotedEntryDemotesOnMeasuredRegressions) {
   EXPECT_FALSE(entry->poisoned);  // slow is recoverable; wrong is not
 }
 
-// --- BackgroundSynthesizer: the lane around the state machine ---------------
+// --- BackgroundSynthesizer: the learner around the state machine -----------
 
-// With the pool's only worker pinned, queued jobs sit in the bounded
-// queue: the overflow drop must release its marker, and DrainAndStop
-// must abort (not run) what is still queued.
+BackgroundJob JobFor(const ExprPtr& key, const Schema& s) {
+  BackgroundJob job;
+  job.bound = key;
+  job.cols = {0};
+  job.joint = s;
+  return job;
+}
+
+// The learner's job accounting: the rewrite.background.<what> counter.
+uint64_t BackgroundCount(const std::string& what) {
+  return obs::MetricsRegistry::Instance()
+      .GetCounter("rewrite.background." + what)
+      .Value();
+}
+
+// Polls `done` every millisecond for up to `seconds`.
+template <typename Pred>
+void WaitFor(Pred done, int seconds) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(seconds);
+  while (!done() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
+
+// With the learner thread pinned inside a first job (an injected stall,
+// then an injected crash), later jobs sit in the bounded queue: the
+// overflow drop must release its marker, DrainAndStop must abort (not
+// run) what is still queued, and it returns only after the pinned job
+// released its own marker.
 TEST(BackgroundSynthesizerTest, DropAtCapacityAndDrainReleaseMarkers) {
+  obs::MetricsRegistry::SetEnabled(true);
+  FaultRegistry& faults = FaultRegistry::Instance();
+  ASSERT_TRUE(faults
+                  .ArmFromSpec("background.synth.latency=latency:1000,"
+                               "background.synth.crash=always")
+                  .ok());
+  const uint64_t enqueued = BackgroundCount("enqueued");
+  const uint64_t dropped = BackgroundCount("dropped");
+  const uint64_t completed = BackgroundCount("completed");
+  const uint64_t failed = BackgroundCount("failed");
+
   RewriteCache cache;
   const Schema s = OneColSchema();
   const PromotionPolicy policy;
-  // Caller-counting pool: 2 => exactly one real worker thread.
-  auto pool = std::make_unique<ThreadPool>(2);
-
-  // Pin the worker with a normal-lane task so the background lane (which
-  // yields to serving work by design) cannot drain yet.
-  struct Pin {
-    Mutex mu;
-    CondVar cv;
-    bool release SIA_GUARDED_BY(mu) = false;
-  } pin;
-  pool->Submit([&] {
-    MutexLock lock(&pin.mu);
-    while (!pin.release) pin.cv.Wait(&pin.mu);
-  });
-
   BackgroundSynthesizer::Options options;
   options.rewrite.target_table = "t";
   options.queue_depth = 1;
-  BackgroundSynthesizer synthesizer(&cache, pool.get(), options);
+  BackgroundSynthesizer synthesizer(&cache, options);
 
+  const ExprPtr key_pin = Bind(Col("x") < Lit(3), s).value();
   const ExprPtr key_a = MakeKey(s);
   const ExprPtr key_b = Bind(Col("x") < Lit(9), s).value();
-  BackgroundJob job_a;
-  job_a.bound = key_a;
-  job_a.cols = {0};
-  job_a.joint = s;
-  BackgroundJob job_b = job_a;
-  job_b.bound = key_b;
+
+  // The learner takes the first job and stalls in its latency fault.
+  ASSERT_TRUE(cache.Decide(key_pin, {0}, policy, false, 0).enqueue);
+  ASSERT_TRUE(synthesizer.Enqueue(JobFor(key_pin, s)));
+  WaitFor([&] { return faults.hits("background.synth.latency") > 0; }, 30);
+  ASSERT_EQ(faults.hits("background.synth.latency"), 1u);
 
   ASSERT_TRUE(cache.Decide(key_a, {0}, policy, false, 0).enqueue);
   ASSERT_TRUE(cache.Decide(key_b, {0}, policy, false, 0).enqueue);
-  EXPECT_TRUE(synthesizer.Enqueue(std::move(job_a)));
+  EXPECT_TRUE(synthesizer.Enqueue(JobFor(key_a, s)));
   // Queue full: the job is shed and its key immediately re-queueable.
-  EXPECT_FALSE(synthesizer.Enqueue(std::move(job_b)));
+  EXPECT_FALSE(synthesizer.Enqueue(JobFor(key_b, s)));
   EXPECT_TRUE(cache.Decide(key_b, {0}, policy, false, 0).enqueue);
 
-  // Drain before the worker frees up: the queued job is aborted, never
-  // run, and its marker released.
+  // Drain while the learner is pinned: the queued job is aborted, never
+  // run, and its marker released; the pinned job crashes and releases
+  // its marker before DrainAndStop returns.
   synthesizer.DrainAndStop();
+  EXPECT_EQ(faults.hits("background.synth.latency"), 1u);
+  EXPECT_EQ(faults.hits("background.synth.crash"), 1u);
   EXPECT_TRUE(cache.Decide(key_a, {0}, policy, false, 0).enqueue);
-  EXPECT_EQ(synthesizer.stats().enqueued, 1u);
-  EXPECT_EQ(synthesizer.stats().dropped, 2u);
-  EXPECT_EQ(synthesizer.stats().completed, 0u);
+  EXPECT_TRUE(cache.Decide(key_pin, {0}, policy, false, 0).enqueue);
+  EXPECT_EQ(BackgroundCount("enqueued") - enqueued, 2u);
+  EXPECT_EQ(BackgroundCount("dropped") - dropped, 2u);
+  EXPECT_EQ(BackgroundCount("completed") - completed, 0u);
+  EXPECT_EQ(BackgroundCount("failed") - failed, 1u);
 
   // A drained synthesizer sheds everything (and still releases markers).
-  BackgroundJob late;
-  late.bound = key_a;
-  late.cols = {0};
-  late.joint = s;
-  EXPECT_FALSE(synthesizer.Enqueue(std::move(late)));
-
-  {
-    MutexLock lock(&pin.mu);
-    pin.release = true;
-  }
-  pin.cv.NotifyAll();
-  // Join the pool while the synthesizer is still alive: a drainer task
-  // it scheduled captures `this` and must not outlive it.
-  pool.reset();
+  EXPECT_FALSE(synthesizer.Enqueue(JobFor(key_a, s)));
+  EXPECT_TRUE(cache.Decide(key_a, {0}, policy, false, 0).enqueue);
+  EXPECT_EQ(BackgroundCount("dropped") - dropped, 3u);
+  faults.DisarmAll();
 }
 
 // An injected crash mid-job releases the marker: the key is immediately
 // re-queueable, never wedged in kSynthesizing.
 TEST(BackgroundSynthesizerTest, CrashedJobLeavesKeyRequeueable) {
+  obs::MetricsRegistry::SetEnabled(true);
   ASSERT_TRUE(FaultRegistry::Instance()
                   .ArmFromSpec("background.synth.crash=always")
                   .ok());
+  const uint64_t failed = BackgroundCount("failed");
   RewriteCache cache;
   const Schema s = OneColSchema();
   const ExprPtr key = MakeKey(s);
@@ -398,33 +418,25 @@ TEST(BackgroundSynthesizerTest, CrashedJobLeavesKeyRequeueable) {
 
   BackgroundSynthesizer::Options options;
   options.rewrite.target_table = "t";
-  // Null pool: the dedicated drainer thread runs the job.
-  BackgroundSynthesizer synthesizer(&cache, nullptr, options);
+  BackgroundSynthesizer synthesizer(&cache, options);
 
   ASSERT_TRUE(cache.Decide(key, {0}, policy, false, 0).enqueue);
-  BackgroundJob job;
-  job.bound = key;
-  job.cols = {0};
-  job.joint = s;
-  ASSERT_TRUE(synthesizer.Enqueue(std::move(job)));
+  ASSERT_TRUE(synthesizer.Enqueue(JobFor(key, s)));
 
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  while (synthesizer.stats().failed == 0 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
+  WaitFor([&] { return cache.stats().synthesizing == 0; }, 30);
+  synthesizer.DrainAndStop();  // idempotent with the destructor's drain
   FaultRegistry::Instance().DisarmAll();
-  EXPECT_EQ(synthesizer.stats().failed, 1u);
+  EXPECT_EQ(BackgroundCount("failed") - failed, 1u);
   EXPECT_EQ(cache.stats().synthesizing, 0u);
   EXPECT_TRUE(cache.Decide(key, {0}, policy, false, 0).enqueue);
-  synthesizer.DrainAndStop();  // idempotent with the destructor's drain
 }
 
-// End to end on the dedicated thread: a real ladder run publishes the
+// End to end on the learner thread: a real ladder run publishes the
 // entry out of kSynthesizing (quarantined when a predicate was learned,
 // promoted when there was nothing to learn) — and the marker is gone.
 TEST(BackgroundSynthesizerTest, CompletedJobPublishesOutOfSynthesizing) {
+  obs::MetricsRegistry::SetEnabled(true);
+  const uint64_t completed = BackgroundCount("completed");
   RewriteCache cache;
   const Schema s = OneColSchema();
   const ExprPtr key = MakeKey(s);
@@ -433,22 +445,14 @@ TEST(BackgroundSynthesizerTest, CompletedJobPublishesOutOfSynthesizing) {
   BackgroundSynthesizer::Options options;
   options.rewrite.target_table = "t";
   options.budget_ms = 30000;
-  BackgroundSynthesizer synthesizer(&cache, nullptr, options);
+  BackgroundSynthesizer synthesizer(&cache, options);
 
   ASSERT_TRUE(cache.Decide(key, {0}, policy, false, 0).enqueue);
-  BackgroundJob job;
-  job.bound = key;
-  job.cols = {0};
-  job.joint = s;
-  ASSERT_TRUE(synthesizer.Enqueue(std::move(job)));
+  ASSERT_TRUE(synthesizer.Enqueue(JobFor(key, s)));
 
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(60);
-  while (synthesizer.stats().completed + synthesizer.stats().failed == 0 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_EQ(synthesizer.stats().completed, 1u);
+  WaitFor([&] { return cache.stats().synthesizing == 0; }, 60);
+  synthesizer.DrainAndStop();
+  EXPECT_EQ(BackgroundCount("completed") - completed, 1u);
   EXPECT_EQ(cache.stats().synthesizing, 0u);
   const auto entry = cache.Lookup(key, {0});
   ASSERT_TRUE(entry.has_value());

@@ -518,7 +518,7 @@ TEST(ServerTest, DrainMidBurstCompletesAdmittedRequests) {
   // Serial reference: the same queries through a fresh QueryService must
   // produce identical digests. Without data no learned predicate can
   // earn promotion, so the server answers every query with the original
-  // — exactly what a QueryService with no background lane answers.
+  // — exactly what a fresh QueryService answers a query it has not seen.
   QueryService serial(options.service);
   size_t compared = 0;
   for (size_t i = 0; i < queries->size(); ++i) {
@@ -634,7 +634,6 @@ TEST(ServiceTest, BadRewriteDemotedBeforeThirdServe) {
   options.shadow_sample_rate = 1.0;  // every eligible serve cross-checks
   options.promote_after = 2;
   QueryService service(options);
-  service.StartBackground(nullptr);  // dedicated drainer thread
 
   const std::string payload =
       "QUERY\nSELECT l_orderkey FROM lineitem, orders "

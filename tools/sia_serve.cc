@@ -5,9 +5,9 @@
 // drain outlives --drain-ms.
 //
 // Serving never synthesizes: a cache miss is answered with the original
-// query at once and the predicate is learned on the pool's background
-// lane, then promoted on measured shadow evidence (DESIGN.md "Online
-// learning loop").
+// query at once and the predicate is learned on the one learner thread,
+// then promoted on measured shadow evidence (DESIGN.md "Online learning
+// loop").
 //
 //   sia_serve [options]
 //     --port N            TCP port (default 0 = kernel-chosen; the
@@ -32,7 +32,7 @@
 //     --shadow-sample-rate R  fraction of eligible requests that
 //                         paranoid-cross-check the rewrite (default 0.1)
 //     --background-budget-ms N  per-job synthesis budget on the
-//                         background lane (default 2000)
+//                         learner thread (default 2000)
 //
 // Prints exactly one line to stdout once serving:
 //   LISTENING port=<p> workers=<n> queue_depth=<n> exec=<0|1>
